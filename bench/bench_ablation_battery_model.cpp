@@ -7,17 +7,39 @@
  */
 
 #include <iostream>
+#include <limits>
 
-#include "battery/clc_battery.h"
-#include "battery/ideal_battery.h"
 #include "bench_util.h"
 #include "core/explorer.h"
-#include "scheduler/simulation_engine.h"
+#include "scheduler/batched_engine.h"
+
+namespace
+{
+
+using namespace carbonx;
+
+/**
+ * Ideal storage as a C/L/C chemistry: lossless both ways, full depth
+ * of discharge, and a C-rate that never binds.
+ */
+BatteryChemistry
+idealChemistry()
+{
+    BatteryChemistry chem = BatteryChemistry::lithiumIronPhosphate();
+    chem.name = "ideal";
+    chem.charge_efficiency = 1.0;
+    chem.discharge_efficiency = 1.0;
+    chem.max_charge_c_rate = std::numeric_limits<double>::infinity();
+    chem.max_discharge_c_rate = std::numeric_limits<double>::infinity();
+    chem.depth_of_discharge = 1.0;
+    return chem;
+}
+
+} // namespace
 
 int
 main()
 {
-    using namespace carbonx;
     bench::banner("Ablation — C/L/C battery vs ideal storage",
                   "physical limits (efficiency, C-rate, DoD) cost "
                   "coverage; ignoring them undersizes batteries");
@@ -28,9 +50,28 @@ main()
     const CarbonExplorer explorer(config);
     const double dc = config.avg_dc_power_mw.value();
 
-    const TimeSeries supply =
-        explorer.coverageAnalyzer().supplyFor(MegaWatts(4.0 * dc), MegaWatts(4.0 * dc));
-    const SimulationEngine engine(explorer.dcPower(), supply);
+    const CoverageAnalyzer &cov = explorer.coverageAnalyzer();
+    const BatchedSimulationEngine engine(explorer.dcPower(),
+                                         cov.solarShape(), cov.windShape());
+    const BatteryChemistry ideal = idealChemistry();
+    const BatteryChemistry lfp = BatteryChemistry::lithiumIronPhosphate();
+    BatteryChemistry dod80 = lfp;
+    dod80.depth_of_discharge = 0.8;
+
+    // Coverage of the 4x-oversized farm with @p mwh of @p chem storage.
+    SimulationBatch batch(1);
+    auto coverageWith = [&](const BatteryChemistry &chem, double mwh) {
+        BatchLaneConfig lane;
+        lane.solar_mw = MegaWatts(4.0 * dc);
+        lane.wind_mw = MegaWatts(4.0 * dc);
+        lane.capacity_cap_mw = explorer.dcPeakPowerMw();
+        lane.chemistry = &chem;
+        lane.battery_capacity_mwh = MegaWattHours(mwh);
+        batch.clear();
+        batch.addLane(lane);
+        engine.run(batch);
+        return batch.result(0).coverage_pct;
+    };
 
     TextTable table("Coverage vs battery size, by battery model",
                     {"Battery (h of compute)", "Ideal %", "C/L/C %",
@@ -39,23 +80,9 @@ main()
     for (double hours : {1.0, 2.0, 4.0, 8.0, 16.0, 32.0}) {
         const double mwh = hours * dc;
 
-        IdealBattery ideal{MegaWattHours(mwh)};
-        SimulationConfig cfg;
-        cfg.capacity_cap_mw = MegaWatts(explorer.dcPeakPowerMw());
-        cfg.battery = &ideal;
-        const double cov_ideal = engine.run(cfg).coverage_pct;
-
-        ClcBattery clc(MegaWattHours(mwh),
-                       BatteryChemistry::lithiumIronPhosphate());
-        cfg.battery = &clc;
-        const double cov_clc = engine.run(cfg).coverage_pct;
-
-        BatteryChemistry dod80 =
-            BatteryChemistry::lithiumIronPhosphate();
-        dod80.depth_of_discharge = 0.8;
-        ClcBattery clc80(MegaWattHours(mwh), dod80);
-        cfg.battery = &clc80;
-        const double cov_80 = engine.run(cfg).coverage_pct;
+        const double cov_ideal = coverageWith(ideal, mwh);
+        const double cov_clc = coverageWith(lfp, mwh);
+        const double cov_80 = coverageWith(dod80, mwh);
 
         max_gap = std::max(max_gap, cov_ideal - cov_clc);
         table.addRow({formatFixed(hours, 0), formatFixed(cov_ideal, 2),
@@ -70,17 +97,7 @@ main()
         double lo = 0.0;
         double hi = 200.0 * dc;
         auto coverageAt = [&](double mwh) {
-            SimulationConfig cfg;
-            cfg.capacity_cap_mw = MegaWatts(explorer.dcPeakPowerMw());
-            if (ideal_model) {
-                IdealBattery b{MegaWattHours(mwh)};
-                cfg.battery = &b;
-                return engine.run(cfg).coverage_pct;
-            }
-            ClcBattery b(MegaWattHours(mwh),
-                         BatteryChemistry::lithiumIronPhosphate());
-            cfg.battery = &b;
-            return engine.run(cfg).coverage_pct;
+            return coverageWith(ideal_model ? ideal : lfp, mwh);
         };
         if (coverageAt(hi) < target)
             return -1.0;

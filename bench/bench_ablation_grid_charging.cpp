@@ -8,11 +8,9 @@
 
 #include <iostream>
 
-#include "battery/clc_battery.h"
 #include "bench_util.h"
-#include "carbon/operational.h"
 #include "core/explorer.h"
-#include "scheduler/simulation_engine.h"
+#include "scheduler/batched_engine.h"
 
 int
 main()
@@ -27,11 +25,12 @@ main()
     config.avg_dc_power_mw = MegaWatts(19.0);
     const CarbonExplorer explorer(config);
     const double dc = config.avg_dc_power_mw.value();
-    const TimeSeries &intensity = explorer.gridIntensity();
-
-    const TimeSeries supply =
-        explorer.coverageAnalyzer().supplyFor(MegaWatts(3.0 * dc), MegaWatts(3.0 * dc));
-    const SimulationEngine engine(explorer.dcPower(), supply);
+    const CoverageAnalyzer &cov = explorer.coverageAnalyzer();
+    const BatchedSimulationEngine engine(explorer.dcPower(),
+                                         cov.solarShape(), cov.windShape(),
+                                         &explorer.gridIntensity());
+    const BatteryChemistry lfp = BatteryChemistry::lithiumIronPhosphate();
+    SimulationBatch batch(1);
 
     TextTable table("Arbitrage threshold sweep (8 h LFP battery)",
                     {"Charge threshold g/kWh", "Grid charge MWh",
@@ -39,21 +38,22 @@ main()
     double kg_never = 0.0;
     double best_kg = 1e30;
     for (double threshold : {0.0, 150.0, 200.0, 250.0, 300.0, 400.0}) {
-        ClcBattery battery(MegaWattHours(8.0 * dc),
-                           BatteryChemistry::lithiumIronPhosphate());
-        SimulationConfig cfg;
-        cfg.capacity_cap_mw = MegaWatts(explorer.dcPeakPowerMw());
-        cfg.battery = &battery;
+        BatchLaneConfig lane;
+        lane.solar_mw = MegaWatts(3.0 * dc);
+        lane.wind_mw = MegaWatts(3.0 * dc);
+        lane.capacity_cap_mw = explorer.dcPeakPowerMw();
+        lane.chemistry = &lfp;
+        lane.battery_capacity_mwh = MegaWattHours(8.0 * dc);
         if (threshold > 0.0) {
-            cfg.grid_charge_policy =
+            lane.grid_charge_policy =
                 GridChargePolicy::BelowIntensityThreshold;
-            cfg.grid_charge_threshold_gkwh = GramsPerKwh(threshold);
-            cfg.grid_intensity = &intensity;
+            lane.grid_charge_threshold_gkwh = GramsPerKwh(threshold);
         }
-        const SimulationResult r = engine.run(cfg);
-        const double kg = OperationalCarbonModel::gridEmissions(
-                              r.grid_power, intensity)
-                              .value();
+        batch.clear();
+        batch.addLane(lane);
+        engine.run(batch);
+        const BatchLaneResult &r = batch.result(0);
+        const double kg = r.operational_kg.value();
         if (threshold == 0.0)
             kg_never = kg;
         best_kg = std::min(best_kg, kg);

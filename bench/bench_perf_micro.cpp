@@ -1,7 +1,7 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the framework's hot paths:
- * trace synthesis, coverage evaluation, the co-simulation engine,
+ * trace synthesis, coverage evaluation, the simulation kernel,
  * the greedy scheduler, and a full design-space search.
  */
 
@@ -13,7 +13,7 @@
 #include <iostream>
 #include <vector>
 
-#include "battery/clc_battery.h"
+#include "battery/clc_step.h"
 #include "common/parallel.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
@@ -26,7 +26,6 @@
 #include "scheduler/batched_engine.h"
 #include "scheduler/greedy_scheduler.h"
 #include "scheduler/simulation_batch.h"
-#include "scheduler/simulation_engine.h"
 
 namespace
 {
@@ -71,18 +70,46 @@ BM_CoverageEvaluation(benchmark::State &state)
 }
 BENCHMARK(BM_CoverageEvaluation);
 
+/**
+ * The kernel over the shared explorer's traces and a 1-lane batch of
+ * 80 MW solar + 80 MW wind: how the explorer simulates one design
+ * point (evaluate, simulate, explain, the sizing bisections).
+ */
+struct OneLane
+{
+    BatchedSimulationEngine engine;
+    SimulationBatch batch{1};
+
+    explicit OneLane(bool battery_cas)
+        : engine(sharedExplorer().dcPower(),
+                 sharedExplorer().coverageAnalyzer().solarShape(),
+                 sharedExplorer().coverageAnalyzer().windShape(),
+                 &sharedExplorer().gridIntensity())
+    {
+        static const BatteryChemistry chem =
+            BatteryChemistry::lithiumIronPhosphate();
+        const double peak = sharedExplorer().dcPeakPowerMw().value();
+        BatchLaneConfig lane;
+        lane.solar_mw = MegaWatts(80.0);
+        lane.wind_mw = MegaWatts(80.0);
+        lane.capacity_cap_mw = MegaWatts(peak);
+        if (battery_cas) {
+            lane.capacity_cap_mw = MegaWatts(1.5 * peak);
+            lane.flexible_ratio = Fraction(0.4);
+            lane.chemistry = &chem;
+            lane.battery_capacity_mwh = MegaWattHours(150.0);
+        }
+        batch.addLane(lane);
+    }
+};
+
 void
 BM_SimulationYearNoBattery(benchmark::State &state)
 {
-    const CarbonExplorer &ex = sharedExplorer();
-    const TimeSeries supply =
-        ex.coverageAnalyzer().supplyFor(MegaWatts(80.0), MegaWatts(80.0));
-    const SimulationEngine engine(ex.dcPower(), supply);
-    SimulationConfig cfg;
-    cfg.capacity_cap_mw = MegaWatts(ex.dcPeakPowerMw());
+    OneLane one(false);
     for (auto _ : state) {
-        SimulationResult r = engine.run(cfg);
-        benchmark::DoNotOptimize(r.coverage_pct);
+        one.engine.run(one.batch);
+        benchmark::DoNotOptimize(one.batch.result(0).coverage_pct);
     }
 }
 BENCHMARK(BM_SimulationYearNoBattery);
@@ -90,48 +117,33 @@ BENCHMARK(BM_SimulationYearNoBattery);
 void
 BM_SimulationYearBatteryCas(benchmark::State &state)
 {
-    const CarbonExplorer &ex = sharedExplorer();
-    const TimeSeries supply =
-        ex.coverageAnalyzer().supplyFor(MegaWatts(80.0), MegaWatts(80.0));
-    const SimulationEngine engine(ex.dcPower(), supply);
-    ClcBattery battery(MegaWattHours(150.0),
-                       BatteryChemistry::lithiumIronPhosphate());
-    SimulationConfig cfg;
-    cfg.capacity_cap_mw = MegaWatts(1.5 * ex.dcPeakPowerMw());
-    cfg.flexible_ratio = Fraction(0.4);
-    cfg.battery = &battery;
+    OneLane one(true);
     for (auto _ : state) {
-        SimulationResult r = engine.run(cfg);
-        benchmark::DoNotOptimize(r.coverage_pct);
+        one.engine.run(one.batch);
+        benchmark::DoNotOptimize(one.batch.result(0).coverage_pct);
     }
 }
 BENCHMARK(BM_SimulationYearBatteryCas);
 
 // The flight-recorder zero-overhead contract, measured: the same
-// battery+CAS year with recording off must match the plain
-// BM_SimulationYearBatteryCas row (the off path adds one null check
-// per hour), and the recorder-on row bounds the opt-in cost of
-// `carbonx explain`.
+// battery+CAS lane under the no-op observer (recorder=0) must match
+// the plain BM_SimulationYearBatteryCas row — it is the same
+// instantiation — and the recording-observer row (recorder=1) bounds
+// the opt-in cost of `carbonx explain`.
 void
 BM_SimulateRecorded(benchmark::State &state)
 {
-    const CarbonExplorer &ex = sharedExplorer();
-    const TimeSeries supply =
-        ex.coverageAnalyzer().supplyFor(MegaWatts(80.0), MegaWatts(80.0));
-    const SimulationEngine engine(ex.dcPower(), supply);
-    ClcBattery battery(MegaWattHours(150.0),
-                       BatteryChemistry::lithiumIronPhosphate());
-    SimulationConfig cfg;
-    cfg.capacity_cap_mw = MegaWatts(1.5 * ex.dcPeakPowerMw());
-    cfg.flexible_ratio = Fraction(0.4);
-    cfg.battery = &battery;
-    cfg.grid_intensity = &ex.gridIntensity();
+    OneLane one(true);
+    SimulationResult result(sharedExplorer().dcPower().year());
     obs::FlightRecorder recorder;
-    if (state.range(0) != 0)
-        cfg.recorder = &recorder;
+    RecordingObserver recording(result, &recorder);
+    NoObserver none;
     for (auto _ : state) {
-        SimulationResult r = engine.run(cfg);
-        benchmark::DoNotOptimize(r.coverage_pct);
+        if (state.range(0) != 0)
+            one.engine.run(one.batch, recording);
+        else
+            one.engine.run(one.batch, none);
+        benchmark::DoNotOptimize(one.batch.result(0).coverage_pct);
     }
 }
 BENCHMARK(BM_SimulateRecorded)
@@ -142,7 +154,7 @@ BENCHMARK(BM_SimulateRecorded)
 // One wave of the batched SoA kernel: 64 mixed lanes (with/without
 // battery, CAS on/off) through a single pass over the hourly trace.
 // items_per_second here is lanes (design points) per second — the
-// direct counterpart of one-run-per-point BM_SimulationYearBatteryCas.
+// wave counterpart of the 1-lane BM_SimulationYearBatteryCas.
 void
 BM_SimulateBatch(benchmark::State &state)
 {
@@ -430,53 +442,54 @@ BM_CoordinateDescentCombined(benchmark::State &state)
 }
 BENCHMARK(BM_CoordinateDescentCombined);
 
+// The C/L/C step the kernel runs (battery/clc_step.h) on one
+// battery's raw state: a year of alternating charge/discharge hours.
 void
 BM_BatteryYearOfHourlySteps(benchmark::State &state)
 {
-    ClcBattery battery(MegaWattHours(100.0),
-                       BatteryChemistry::lithiumIronPhosphate());
+    const BatteryChemistry chem = BatteryChemistry::lithiumIronPhosphate();
+    const double capacity = 100.0;
+    const double charge_cap = chem.max_charge_c_rate * capacity;
+    const double discharge_cap = chem.max_discharge_c_rate * capacity;
+    const double floor = capacity * (1.0 - chem.depth_of_discharge);
     for (auto _ : state) {
-        battery.reset();
+        double content = floor;
+        double charged = 0.0;
+        double discharged = 0.0;
         for (int h = 0; h < 8784; ++h) {
             if (h % 2 == 0)
-                battery.charge(MegaWatts(60.0), Hours(1.0));
+                clcChargeStep(60.0, 1.0, capacity, charge_cap,
+                              chem.charge_efficiency, content, charged);
             else
-                battery.discharge(MegaWatts(60.0), Hours(1.0));
+                clcDischargeStep(60.0, 1.0, capacity, discharge_cap,
+                                 chem.discharge_efficiency, floor,
+                                 content, discharged);
         }
-        benchmark::DoNotOptimize(battery.fullEquivalentCycles());
+        benchmark::DoNotOptimize(discharged);
     }
 }
 BENCHMARK(BM_BatteryYearOfHourlySteps);
 
 // Harness-level guard on the recorder's zero-overhead contract:
-// median wall time of the battery+CAS year with a null recorder
-// pointer must stay within noise of the identical run without the
-// recorder member touched at all. Medians of repeated ~ms runs are
-// stable enough for a generous 25% fence; a real regression (a
-// recording branch leaking into the disabled path) shows up as 2x+.
+// median wall time of the battery+CAS lane run under an explicit
+// no-op observer must stay within noise of the plain run(batch).
+// Medians of repeated ~ms runs are stable enough for a generous 25%
+// fence; a real regression (recording work leaking into the no-op
+// observer) shows up as 2x+.
 bool
 recorderOffWithinNoise()
 {
-    const CarbonExplorer &ex = sharedExplorer();
-    const TimeSeries supply =
-        ex.coverageAnalyzer().supplyFor(MegaWatts(80.0), MegaWatts(80.0));
-    const SimulationEngine engine(ex.dcPower(), supply);
-    ClcBattery battery(MegaWattHours(150.0),
-                       BatteryChemistry::lithiumIronPhosphate());
-    SimulationConfig baseline;
-    baseline.capacity_cap_mw = MegaWatts(1.5 * ex.dcPeakPowerMw());
-    baseline.flexible_ratio = Fraction(0.4);
-    baseline.battery = &battery;
-    SimulationConfig recorder_off = baseline;
-    recorder_off.grid_intensity = &ex.gridIntensity();
-    recorder_off.recorder = nullptr;
-
-    const auto median_us = [&](const SimulationConfig &cfg) {
+    OneLane one(true);
+    NoObserver none;
+    const auto median_us = [&](bool explicit_observer) {
         std::vector<double> samples;
         for (int i = 0; i < 9; ++i) {
             const auto start = std::chrono::steady_clock::now();
-            SimulationResult r = engine.run(cfg);
-            benchmark::DoNotOptimize(r.coverage_pct);
+            if (explicit_observer)
+                one.engine.run(one.batch, none);
+            else
+                one.engine.run(one.batch);
+            benchmark::DoNotOptimize(one.batch.result(0).coverage_pct);
             const std::chrono::duration<double, std::micro> us =
                 std::chrono::steady_clock::now() - start;
             samples.push_back(us.count());
@@ -485,9 +498,9 @@ recorderOffWithinNoise()
         return samples[samples.size() / 2];
     };
 
-    median_us(baseline); // Warm the caches before timing either path.
-    const double base_us = median_us(baseline);
-    const double off_us = median_us(recorder_off);
+    median_us(false); // Warm the caches before timing either path.
+    const double base_us = median_us(false);
+    const double off_us = median_us(true);
     const bool ok = off_us <= base_us * 1.25;
     std::cerr << "recorder-off overhead check: baseline "
               << base_us << " us, recorder-off " << off_us << " us ("

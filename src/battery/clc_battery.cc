@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "battery/clc_step.h"
 #include "common/error.h"
 #include "common/tolerances.h"
 #include "obs/metrics.h"
@@ -76,36 +77,23 @@ ClcBattery::minContentMwh() const
     return capacity_mwh_ * (1.0 - chemistry_.depth_of_discharge);
 }
 
-// carbonx-hot: called once per simulated hour by every engine.
 MegaWatts
 ClcBattery::charge(MegaWatts offered_power, Hours dt)
 {
     require(offered_power.value() >= 0.0, "charge power must be >= 0");
     require(dt.value() > 0.0, "timestep must be positive");
     ++charge_calls_;
-    if (capacity_mwh_.value() <= 0.0 || offered_power.value() <= 0.0)
-        return MegaWatts(0.0);
-
-    // C-rate power cap (applied at the AC terminal, per the C/L/C
-    // model's linear charging limit).
-    const MegaWatts rate_cap(chemistry_.max_charge_c_rate *
-                             capacity_mwh_.value());
-    // Headroom cap: cannot exceed nameplate content after losses.
-    const MegaWattHours headroom =
-        max(capacity_mwh_ - content_mwh_, MegaWattHours(0.0));
-    const MegaWatts headroom_cap(
-        headroom.value() / (chemistry_.charge_efficiency * dt.value()));
-
-    const MegaWatts accepted =
-        min(min(offered_power, rate_cap), headroom_cap);
-    content_mwh_ += MegaWattHours(accepted.value() * dt.value() *
-                                  chemistry_.charge_efficiency);
-    content_mwh_ = min(content_mwh_, capacity_mwh_);
-    charged_mwh_ += accepted * dt;
-    return accepted;
+    double content = content_mwh_.value();
+    double charged = charged_mwh_.value();
+    const double accepted = clcChargeStep(
+        offered_power.value(), dt.value(), capacity_mwh_.value(),
+        chemistry_.max_charge_c_rate * capacity_mwh_.value(),
+        chemistry_.charge_efficiency, content, charged);
+    content_mwh_ = MegaWattHours(content);
+    charged_mwh_ = MegaWattHours(charged);
+    return MegaWatts(accepted);
 }
 
-// carbonx-hot: called once per simulated hour by every engine.
 MegaWatts
 ClcBattery::discharge(MegaWatts requested_power, Hours dt)
 {
@@ -113,25 +101,16 @@ ClcBattery::discharge(MegaWatts requested_power, Hours dt)
             "discharge power must be >= 0");
     require(dt.value() > 0.0, "timestep must be positive");
     ++discharge_calls_;
-    if (capacity_mwh_.value() <= 0.0 || requested_power.value() <= 0.0)
-        return MegaWatts(0.0);
-
-    const MegaWatts rate_cap(chemistry_.max_discharge_c_rate *
-                             capacity_mwh_.value());
-    // Usable stored energy above the DoD floor, delivered at the AC
-    // terminal after discharge losses.
-    const MegaWattHours available =
-        max(content_mwh_ - minContentMwh(), MegaWattHours(0.0));
-    const MegaWatts content_cap(
-        available.value() * chemistry_.discharge_efficiency / dt.value());
-
-    const MegaWatts delivered =
-        min(min(requested_power, rate_cap), content_cap);
-    content_mwh_ -= MegaWattHours(delivered.value() * dt.value() /
-                                  chemistry_.discharge_efficiency);
-    content_mwh_ = max(content_mwh_, minContentMwh());
-    discharged_mwh_ += delivered * dt;
-    return delivered;
+    double content = content_mwh_.value();
+    double discharged = discharged_mwh_.value();
+    const double delivered = clcDischargeStep(
+        requested_power.value(), dt.value(), capacity_mwh_.value(),
+        chemistry_.max_discharge_c_rate * capacity_mwh_.value(),
+        chemistry_.discharge_efficiency, minContentMwh().value(),
+        content, discharged);
+    content_mwh_ = MegaWattHours(content);
+    discharged_mwh_ = MegaWattHours(discharged);
+    return MegaWatts(delivered);
 }
 
 void

@@ -51,11 +51,12 @@
 #include "battery/battery_stats.h"
 #include "battery/chemistry.h"
 #include "battery/clc_battery.h"
-#include "battery/ideal_battery.h"
 
 // Scheduling and simulation.
+#include "scheduler/batched_engine.h"
 #include "scheduler/greedy_scheduler.h"
-#include "scheduler/simulation_engine.h"
+#include "scheduler/simulation_batch.h"
+#include "scheduler/simulation_result.h"
 #include "scheduler/tiered_scheduler.h"
 
 // Carbon accounting.

@@ -39,8 +39,10 @@ get(std::istream &is, T &value)
 } // namespace
 
 ResultCache::ResultCache(std::string path, uint64_t config_digest,
+                         uint64_t kernel_fingerprint,
                          uint32_t payload_width, std::string provenance)
     : path_(std::move(path)), config_digest_(config_digest),
+      kernel_fingerprint_(kernel_fingerprint),
       payload_width_(payload_width), provenance_(std::move(provenance))
 {
     require(payload_width_ > 0, "result cache payload width must be > 0");
@@ -135,11 +137,12 @@ ResultCache::load()
     uint32_t version = 0;
     uint32_t width = 0;
     uint64_t digest = 0;
+    uint64_t fingerprint = 0;
     uint32_t prov_size = 0;
     uint32_t reserved = 0;
     if (!is.read(magic, sizeof(magic)) || !get(is, version) ||
-        !get(is, width) || !get(is, digest) || !get(is, prov_size) ||
-        !get(is, reserved)) {
+        !get(is, width) || !get(is, digest) || !get(is, fingerprint) ||
+        !get(is, prov_size) || !get(is, reserved)) {
         return fail("truncated header");
     }
     if (std::memcmp(magic, kFileMagic, sizeof(magic)) != 0)
@@ -156,6 +159,7 @@ ResultCache::load()
     expected = fnv1a64Bytes(&version, sizeof(version), expected);
     expected = fnv1a64Bytes(&width, sizeof(width), expected);
     expected = fnv1a64Bytes(&digest, sizeof(digest), expected);
+    expected = fnv1a64Bytes(&fingerprint, sizeof(fingerprint), expected);
     expected = fnv1a64Bytes(&prov_size, sizeof(prov_size), expected);
     expected = fnv1a64Bytes(&reserved, sizeof(reserved), expected);
     expected = fnv1a64Bytes(prov.data(), prov.size(), expected);
@@ -172,6 +176,9 @@ ResultCache::load()
                     std::to_string(payload_width_));
     if (digest != config_digest_)
         return fail("config digest mismatch");
+    if (fingerprint != kernel_fingerprint_)
+        return fail("kernel fingerprint mismatch: the simulation kernel "
+                    "changed since this cache was written");
     provenance_ = std::move(prov);
     rewrite_needed_ = false;
     good_prefix_bytes_ = static_cast<uint64_t>(is.tellg());
@@ -269,6 +276,7 @@ ResultCache::writeFreshFile()
     put(buf, kFormatVersion);
     put(buf, payload_width_);
     put(buf, config_digest_);
+    put(buf, kernel_fingerprint_);
     const auto prov_size = static_cast<uint32_t>(provenance_.size());
     put(buf, prov_size);
     const uint32_t reserved = 0;

@@ -14,7 +14,8 @@
  * File format (host endianness, fixed-width fields):
  *
  *   header:  magic "CXRCACHE" | u32 version | u32 payload_width
- *            | u64 config_digest | u32 provenance_size | u32 reserved
+ *            | u64 config_digest | u64 kernel_fingerprint
+ *            | u32 provenance_size | u32 reserved
  *            | provenance bytes | u64 header_digest (FNV-1a over all
  *            preceding bytes)
  *   blocks:  u32 block_magic | u32 record_count
@@ -31,10 +32,10 @@
  * digest and drops, keeping every fully flushed record.
  *
  * Corruption policy: any header mismatch (magic, version, digest,
- * payload width, config digest) rebuilds the cache from empty; any
- * bad block drops that block and everything after it. Both paths are
- * detected by digest, reported via rebuildReason(), and never crash
- * or silently serve stale data.
+ * payload width, config digest, kernel fingerprint) rebuilds the
+ * cache from empty; any bad block drops that block and everything
+ * after it. Both paths are detected by digest, reported via
+ * rebuildReason(), and never crash or silently serve stale data.
  *
  * Not thread-safe: the sweep drivers call it only from the
  * coordinating thread, between parallel evaluation waves.
@@ -57,7 +58,7 @@ class ResultCache
 {
   public:
     /** Bumped on any layout change; mismatches trigger a rebuild. */
-    static constexpr uint32_t kFormatVersion = 1;
+    static constexpr uint32_t kFormatVersion = 2;
 
     /** Number of key coordinates per record. */
     static constexpr size_t kKeyWidth = 4;
@@ -68,16 +69,22 @@ class ResultCache
     /**
      * Open (or prepare to create) the cache file at @p path.
      * An existing file is loaded when its header matches @p
-     * config_digest and @p payload_width; otherwise the cache starts
-     * empty and the file is rewritten on the next flush(), with the
-     * reason available from rebuildReason().
+     * config_digest, @p kernel_fingerprint and @p payload_width;
+     * otherwise the cache starts empty and the file is rewritten on
+     * the next flush(), with the reason available from
+     * rebuildReason().
      *
+     * @param kernel_fingerprint Identifies the code that computed the
+     *        payloads (BatchedSimulationEngine::kernelFingerprint for
+     *        sweep results), so results never outlive the kernel that
+     *        produced them.
      * @param provenance Free-form manifest text (typically the JSON
      *        provenance of the producing run) embedded in the header
      *        of a newly created file.
      */
     ResultCache(std::string path, uint64_t config_digest,
-                uint32_t payload_width, std::string provenance = "");
+                uint64_t kernel_fingerprint, uint32_t payload_width,
+                std::string provenance = "");
 
     ResultCache(const ResultCache &) = delete;
     ResultCache &operator=(const ResultCache &) = delete;
@@ -134,6 +141,7 @@ class ResultCache
 
     std::string path_;
     uint64_t config_digest_ = 0;
+    uint64_t kernel_fingerprint_ = 0;
     uint32_t payload_width_ = 0;
     std::string provenance_;
 

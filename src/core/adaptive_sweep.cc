@@ -13,6 +13,7 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
+#include "scheduler/batched_engine.h"
 
 namespace carbonx
 {
@@ -26,6 +27,7 @@ SweepResultCache::SweepResultCache(std::string path,
           // cannot depend on obs, so the timer lives here).
           CARBONX_PROFILE("cache/load");
           return ResultCache(std::move(path), config_digest,
+                             BatchedSimulationEngine::kernelFingerprint(),
                              kPayloadWidth, std::move(provenance));
       }())
 {

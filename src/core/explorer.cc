@@ -6,7 +6,6 @@
 #include <limits>
 #include <memory>
 
-#include "battery/clc_battery.h"
 #include "carbon/operational.h"
 #include "common/error.h"
 #include "common/csv.h"
@@ -57,6 +56,18 @@ traceFromExternal(const ExternalTraces &traces)
     trace.solar_potential = traces.solar_shape;
     trace.wind_potential = traces.wind_shape;
     return trace;
+}
+
+/** Simulate @p lane alone in a 1-lane batch of @p engine. */
+template <class Observer>
+BatchLaneResult
+runLane(const BatchedSimulationEngine &engine, const BatchLaneConfig &lane,
+        Observer &observer)
+{
+    SimulationBatch batch(1);
+    batch.addLane(lane);
+    engine.run(batch, observer);
+    return batch.result(0);
 }
 
 /** Wrap an external load series in a LoadTrace. */
@@ -219,35 +230,6 @@ CarbonExplorer::configDigest(Strategy strategy) const
     return digest;
 }
 
-SimulationConfig
-CarbonExplorer::simulationConfig(const DesignPoint &point,
-                                 Strategy strategy,
-                                 BatteryModel *battery) const
-{
-    SimulationConfig sim;
-    sim.capacity_cap_mw = MegaWatts(
-        peak_power_mw_.value() * (1.0 + (strategyUsesCas(strategy)
-                                             ? point.extra_capacity
-                                                   .value()
-                                             : 0.0)));
-    sim.flexible_ratio = strategyUsesCas(strategy)
-        ? config_.flexible_ratio
-        : Fraction(0.0);
-    sim.slo_window_hours = config_.slo_window_hours;
-    sim.battery = strategyUsesBattery(strategy) ? battery : nullptr;
-    if (sim.battery != nullptr) {
-        sim.grid_charge_policy = config_.grid_charge_policy;
-        sim.grid_charge_threshold_gkwh =
-            config_.grid_charge_threshold_gkwh;
-    }
-    // Always hand the engine the intensity series: unused unless a
-    // recorder or a grid-charging policy is attached, and having it
-    // here means explain() recordings get the carbon column filled
-    // with no per-call-site plumbing.
-    sim.grid_intensity = &grid_trace_.intensity;
-    return sim;
-}
-
 BatchLaneConfig
 CarbonExplorer::laneConfig(const DesignPoint &point,
                            Strategy strategy) const
@@ -264,9 +246,8 @@ CarbonExplorer::laneConfig(const DesignPoint &point,
         ? config_.flexible_ratio
         : Fraction(0.0);
     lane.slo_window_hours = config_.slo_window_hours;
-    // Same gating as the scalar sweep worker: a lane has a battery
-    // exactly when simulationConfig would hand the engine a non-null
-    // one (strategy uses storage and the point sizes it above zero).
+    // A lane has a battery exactly when the strategy uses storage and
+    // the point sizes it above zero; grid charging needs a battery.
     if (strategyUsesBattery(strategy) &&
         point.battery_mwh.value() > 0.0) {
         lane.battery_capacity_mwh = point.battery_mwh;
@@ -278,45 +259,25 @@ CarbonExplorer::laneConfig(const DesignPoint &point,
     return lane;
 }
 
-Evaluation
-CarbonExplorer::evaluationFrom(const DesignPoint &point, Strategy strategy,
-                               const SimulationResult &sim) const
+BatchedSimulationEngine
+CarbonExplorer::engine() const
 {
-    return evaluationFromParts(
-        point, strategy, sim.coverage_pct,
-        OperationalCarbonModel::gridEmissions(sim.grid_power,
-                                              grid_trace_.intensity),
-        sim.renewable_used_mwh, sim.battery_cycles, sim.deferred_mwh,
-        sim.renewable_excess_mwh);
+    // The intensity series is always attached: the kernel accumulates
+    // each lane's operational carbon inline, and explain() recordings
+    // get their carbon column with no per-call-site plumbing.
+    return BatchedSimulationEngine(load_trace_.power, solar_shape_,
+                                   wind_shape_, &grid_trace_.intensity);
 }
 
 Evaluation
 CarbonExplorer::evaluationFrom(const DesignPoint &point, Strategy strategy,
                                const BatchLaneResult &lane) const
 {
-    // The batched kernel accumulated operational carbon per lane in
-    // the same hour order and with the same expression gridEmissions
-    // uses on the scalar grid series, so this overload is bit-
-    // identical to the SimulationResult one for the same point.
-    return evaluationFromParts(point, strategy, lane.coverage_pct,
-                               lane.operational_kg,
-                               lane.renewable_used_mwh,
-                               lane.battery_cycles, lane.deferred_mwh,
-                               lane.renewable_excess_mwh);
-}
-
-Evaluation
-CarbonExplorer::evaluationFromParts(
-    const DesignPoint &point, Strategy strategy, double coverage_pct,
-    KilogramsCo2 operational_kg, MegaWattHours renewable_used_mwh,
-    double battery_cycles, MegaWattHours deferred_mwh,
-    MegaWattHours renewable_excess_mwh) const
-{
     Evaluation eval;
     eval.point = point;
     eval.strategy = strategy;
-    eval.coverage_pct = coverage_pct;
-    eval.operational_kg = operational_kg;
+    eval.coverage_pct = lane.coverage_pct;
+    eval.operational_kg = lane.operational_kg;
 
     // Renewable embodied carbon follows generated energy (LCA per-kWh
     // footprints amortize manufacturing over lifetime generation).
@@ -333,15 +294,15 @@ CarbonExplorer::evaluationFromParts(
         const double total_gen =
             solar_gen_mwh.value() + wind_gen_mwh.value();
         if (total_gen > 0.0 &&
-            renewable_used_mwh.value() >
+            lane.renewable_used_mwh.value() >
                 total_gen * (1.0 + kUnitIntervalSlack)) {
             warn("renewable energy used exceeds farm generation (" +
-                 formatFixed(renewable_used_mwh.value(), 1) +
+                 formatFixed(lane.renewable_used_mwh.value(), 1) +
                  " > " + formatFixed(total_gen, 1) +
                  " MWh); clamping attribution to the whole farm");
         }
         const double used_fraction = total_gen > 0.0
-            ? std::min(renewable_used_mwh.value() / total_gen, 1.0)
+            ? std::min(lane.renewable_used_mwh.value() / total_gen, 1.0)
             : 0.0;
         solar_attr *= used_fraction;
         wind_attr *= used_fraction;
@@ -355,7 +316,7 @@ CarbonExplorer::evaluationFromParts(
         point.battery_mwh.value() > 0.0) {
         const double days =
             static_cast<double>(load_trace_.power.calendar().daysInYear());
-        const double cycles_per_day = battery_cycles / days;
+        const double cycles_per_day = lane.battery_cycles / days;
         eval.embodied_battery_kg = embodied_.batteryAnnual(
             point.battery_mwh, config_.chemistry, cycles_per_day);
     }
@@ -364,9 +325,9 @@ CarbonExplorer::evaluationFromParts(
             peak_power_mw_, point.extra_capacity);
     }
 
-    eval.battery_cycles = battery_cycles;
-    eval.deferred_mwh = deferred_mwh;
-    eval.renewable_excess_mwh = renewable_excess_mwh;
+    eval.battery_cycles = lane.battery_cycles;
+    eval.deferred_mwh = lane.deferred_mwh;
+    eval.renewable_excess_mwh = lane.renewable_excess_mwh;
     return eval;
 }
 
@@ -375,17 +336,10 @@ CarbonExplorer::simulate(const DesignPoint &point, Strategy strategy) const
 {
     CARBONX_SPAN("explorer/simulate");
     obs::counter("explorer.simulations").increment();
-    const TimeSeries supply =
-        coverage_.supplyFor(point.solar_mw, point.wind_mw);
-    const SimulationEngine engine(load_trace_.power, supply);
-
-    std::unique_ptr<ClcBattery> battery;
-    if (strategyUsesBattery(strategy) &&
-        point.battery_mwh.value() > 0.0) {
-        battery = std::make_unique<ClcBattery>(point.battery_mwh,
-                                               config_.chemistry);
-    }
-    return engine.run(simulationConfig(point, strategy, battery.get()));
+    SimulationResult result(load_trace_.power.year());
+    RecordingObserver observer(result);
+    runLane(engine(), laneConfig(point, strategy), observer);
+    return result;
 }
 
 Evaluation
@@ -393,7 +347,10 @@ CarbonExplorer::evaluate(const DesignPoint &point, Strategy strategy) const
 {
     CARBONX_SPAN("explorer/evaluate");
     obs::counter("explorer.evaluations").increment();
-    return evaluationFrom(point, strategy, simulate(point, strategy));
+    NoObserver none;
+    return evaluationFrom(
+        point, strategy,
+        runLane(engine(), laneConfig(point, strategy), none));
 }
 
 ExplainResult
@@ -406,26 +363,12 @@ CarbonExplorer::explain(const DesignPoint &point, Strategy strategy) const
     ExplainResult out{Evaluation{},
                       SimulationResult(load_trace_.power.year()),
                       obs::FlightRecorder{}};
-    const TimeSeries supply =
-        coverage_.supplyFor(point.solar_mw, point.wind_mw);
-    const SimulationEngine engine(load_trace_.power, supply);
-
-    std::unique_ptr<ClcBattery> battery;
-    if (strategyUsesBattery(strategy) &&
-        point.battery_mwh.value() > 0.0) {
-        battery = std::make_unique<ClcBattery>(point.battery_mwh,
-                                               config_.chemistry);
-    }
-    SimulationConfig sim =
-        simulationConfig(point, strategy, battery.get());
-    sim.recorder = &out.recording;
-    SimulationScratch scratch;
-    engine.run(sim, out.simulation, scratch);
-    out.evaluation = evaluationFrom(point, strategy, out.simulation);
-    out.capacity_cap_mw = sim.capacity_cap_mw;
-    out.battery_capacity_mwh = battery != nullptr
-        ? battery->capacityMwh()
-        : MegaWattHours(0.0);
+    const BatchLaneConfig lane = laneConfig(point, strategy);
+    RecordingObserver observer(out.simulation, &out.recording);
+    out.evaluation = evaluationFrom(point, strategy,
+                                    runLane(engine(), lane, observer));
+    out.capacity_cap_mw = lane.capacity_cap_mw;
+    out.battery_capacity_mwh = lane.battery_capacity_mwh;
     out.grid_only_kg = OperationalCarbonModel::gridEmissions(
         load_trace_.power, grid_trace_.intensity);
     return out;
@@ -476,12 +419,9 @@ struct SweepBatchEvaluator::Workspaces
     BatchedSimulationEngine engine;
     std::vector<SweepWorkspace> per_worker;
 
-    Workspaces(const TimeSeries &dc_power, const TimeSeries &solar_shape,
-               const TimeSeries &wind_shape,
-               const TimeSeries *grid_intensity, size_t worker_ids)
-        : engine(dc_power, solar_shape, wind_shape, grid_intensity)
+    Workspaces(const BatchedSimulationEngine &kernel, size_t worker_ids)
+        : engine(kernel), per_worker(worker_ids)
     {
-        per_worker.resize(worker_ids);
     }
 };
 
@@ -492,13 +432,10 @@ SweepBatchEvaluator::SweepBatchEvaluator(const CarbonExplorer &explorer,
     // One workspace per possible worker id (the caller is id 0, pool
     // workers are 1..N-1), so no two workers ever share scratch. The
     // engine itself is shared: run() is const and only touches the
-    // worker's own batch. The intensity series is always attached so
-    // the kernel accumulates per-lane operational carbon inline.
+    // worker's own batch.
     const size_t worker_ids = std::max<size_t>(threadCount(), 1);
-    workspaces_ = std::make_unique<Workspaces>(
-        explorer_.load_trace_.power, explorer_.solar_shape_,
-        explorer_.wind_shape_, &explorer_.grid_trace_.intensity,
-        worker_ids);
+    workspaces_ =
+        std::make_unique<Workspaces>(explorer_.engine(), worker_ids);
 }
 
 SweepBatchEvaluator::~SweepBatchEvaluator() = default;
@@ -860,17 +797,21 @@ CarbonExplorer::minimumBatteryForCoverage(MegaWatts solar_mw,
     if (max_mwh.value() < 0.0)
         max_mwh = MegaWattHours(100.0 * config_.avg_dc_power_mw.value());
 
-    const TimeSeries supply = coverage_.supplyFor(solar_mw, wind_mw);
-    const SimulationEngine engine(load_trace_.power, supply);
+    // Renewables plus battery at the load-peak cap: no deferral and
+    // no grid charging, whatever the configuration says.
+    const BatchedSimulationEngine kernel = engine();
+    BatchLaneConfig lane;
+    lane.solar_mw = solar_mw;
+    lane.wind_mw = wind_mw;
+    lane.capacity_cap_mw = peak_power_mw_;
+    lane.chemistry = &config_.chemistry;
+    NoObserver none;
 
     auto coverageAt = [&](double mwh) {
         if (mwh <= 0.0)
-            return engine.renewableOnlyCoverage();
-        ClcBattery battery(MegaWattHours(mwh), config_.chemistry);
-        SimulationConfig sim;
-        sim.capacity_cap_mw = peak_power_mw_;
-        sim.battery = &battery;
-        return engine.run(sim).coverage_pct;
+            return coverage_.coverage(solar_mw, wind_mw);
+        lane.battery_capacity_mwh = MegaWattHours(mwh);
+        return runLane(kernel, lane, none).coverage_pct;
     };
 
     if (coverageAt(max_mwh.value()) < target_pct) {
@@ -898,16 +839,19 @@ CarbonExplorer::minimumExtraCapacityForCoverage(MegaWatts solar_mw,
                                                 Fraction max_extra) const
 {
     CARBONX_SPAN("explorer/min_extra_capacity_bisect");
-    const TimeSeries supply = coverage_.supplyFor(solar_mw, wind_mw);
-    const SimulationEngine engine(load_trace_.power, supply);
+    // Renewables plus carbon-aware deferral, no battery.
+    const BatchedSimulationEngine kernel = engine();
+    BatchLaneConfig lane;
+    lane.solar_mw = solar_mw;
+    lane.wind_mw = wind_mw;
+    lane.flexible_ratio = config_.flexible_ratio;
+    lane.slo_window_hours = config_.slo_window_hours;
+    NoObserver none;
 
     auto coverageAt = [&](double extra) {
-        SimulationConfig sim;
-        sim.capacity_cap_mw =
+        lane.capacity_cap_mw =
             MegaWatts(peak_power_mw_.value() * (1.0 + extra));
-        sim.flexible_ratio = config_.flexible_ratio;
-        sim.slo_window_hours = config_.slo_window_hours;
-        return engine.run(sim).coverage_pct;
+        return runLane(kernel, lane, none).coverage_pct;
     };
 
     if (coverageAt(max_extra.value()) < target_pct) {

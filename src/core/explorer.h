@@ -34,8 +34,9 @@
 #include "obs/progress.h"
 #include "obs/recorder.h"
 #include "obs/status.h"
+#include "scheduler/batched_engine.h"
 #include "scheduler/simulation_batch.h"
-#include "scheduler/simulation_engine.h"
+#include "scheduler/simulation_result.h"
 
 namespace carbonx
 {
@@ -274,8 +275,8 @@ class CarbonExplorer
                               Strategy strategy) const;
 
     /**
-     * Re-run one design point with the flight recorder attached:
-     * same engine, same inputs, so the evaluation is bit-identical
+     * Re-run one design point with the recording observer attached:
+     * same kernel, same inputs, so the evaluation is bit-identical
      * to evaluate() — plus the full hourly recording (carbon column
      * included) ready for auditing and timeline export.
      */
@@ -440,42 +441,22 @@ class CarbonExplorer
     OptimizationResult optimizePass(const DesignSpace &space,
                                     Strategy strategy, int pass) const;
 
-    SimulationConfig
-    simulationConfig(const DesignPoint &point, Strategy strategy,
-                     BatteryModel *battery) const;
-
     /**
-     * Batched-lane equivalent of simulationConfig: same cap/ratio/
-     * window/battery mapping, expressed as a BatchLaneConfig for the
-     * SoA sweep kernel. laneConfig(p) and simulationConfig(p) always
-     * describe the identical simulation.
+     * The kernel lane of one design point under a strategy: capacity
+     * cap, flexible ratio, SLO window, battery and grid-charging
+     * policy. Every simulation of the explorer — sweeps, evaluate(),
+     * simulate(), explain() — starts from this mapping.
      */
     BatchLaneConfig laneConfig(const DesignPoint &point,
                                Strategy strategy) const;
 
-    Evaluation
-    evaluationFrom(const DesignPoint &point, Strategy strategy,
-                   const SimulationResult &sim) const;
+    /** The simulation kernel over this explorer's traces. */
+    BatchedSimulationEngine engine() const;
 
+    /** Carbon attribution of one simulated lane. */
     Evaluation
     evaluationFrom(const DesignPoint &point, Strategy strategy,
                    const BatchLaneResult &lane) const;
-
-    /**
-     * Shared tail of both evaluationFrom overloads: carbon
-     * attribution from the simulation aggregates. Taking the
-     * aggregates by value keeps the scalar and batched paths
-     * bit-identical by construction — both feed the same numbers
-     * through the same arithmetic.
-     */
-    Evaluation
-    evaluationFromParts(const DesignPoint &point, Strategy strategy,
-                        double coverage_pct,
-                        KilogramsCo2 operational_kg,
-                        MegaWattHours renewable_used_mwh,
-                        double battery_cycles,
-                        MegaWattHours deferred_mwh,
-                        MegaWattHours renewable_excess_mwh) const;
 
     ExplorerConfig config_;
     GridTrace grid_trace_;

@@ -1,21 +1,21 @@
 /**
  * @file
  * Simulation flight recorder: an opt-in, caller-owned columnar buffer
- * that SimulationEngine::run fills with one row per simulated hour.
+ * that the simulation kernel's RecordingObserver fills with one row
+ * per simulated hour (scheduler/batched_engine.h).
  *
- * The sweep treats every SimulationEngine::run as a black box — it
- * keeps only the aggregates in SimulationResult. The recorder opens
- * the box: when a FlightRecorder is attached to a SimulationConfig,
- * the engine streams the full hourly state (load, served power,
+ * The sweep treats every kernel run as a black box — it keeps only
+ * the per-lane aggregates. The recorder opens the box for one design
+ * point: run as a 1-lane batch under the recording observer, the
+ * kernel streams the full hourly state (load, served power,
  * renewable use, grid draw, battery charge/discharge/energy content,
  * curtailment, CAS-shifted energy, backlog, hourly operational
  * carbon) into the recorder's column vectors.
  *
- * Zero-overhead contract: with no recorder attached the engine pays
- * one null-pointer check per hour and nothing else — no branches into
- * recording code, no extra stores — so the parallel sweep stays
- * bit-identical and its throughput unchanged (guarded by
- * BM_SimulateRecorded in bench_perf_micro).
+ * Zero-overhead contract: the observer is a compile-time parameter
+ * of the kernel, and the sweep's NoObserver has empty hooks, so
+ * recording costs the sweep nothing and cannot change its numbers
+ * (guarded by BM_SimulateRecorded in bench_perf_micro).
  *
  * Storage is columnar (structure-of-arrays): the invariant auditor
  * and the timeline exporters scan one field across all hours far more
@@ -63,8 +63,8 @@ struct HourlyRecord
 };
 
 /**
- * Caller-owned recording target. Construct once, attach to a
- * SimulationConfig via its `recorder` member, and read the columns
+ * Caller-owned recording target. Construct once, hand it to a
+ * RecordingObserver, and read the columns
  * after the run. A recorder may be reused across runs: begin() resets
  * it while keeping the columns' capacity, so a reused recorder
  * allocates only on its first year.

@@ -1,37 +1,124 @@
 /**
  * @file
- * Batched co-simulation: one pass over the hourly trace advances
- * every lane of a SimulationBatch together.
+ * The simulation kernel: one pass over the hourly trace advances
+ * every lane of a SimulationBatch together. It is the only
+ * implementation of the paper's combined heuristic (section 5.2):
  *
- * The scalar SimulationEngine stays the reference implementation (and
- * the only path with flight recording / hourly output series); this
- * engine is the sweep's hot path. Its hourly loop is two stages:
+ *   "Whenever there is lack of renewable supply, the energy stored in
+ *    the battery is used first and workload shifting happens only if
+ *    the energy stored in the batteries are not sufficient. Whenever
+ *    there is extra renewable supply, all available workloads are
+ *    executed to use the available power first and batteries are
+ *    charged with the remaining supply."
+ *
+ * The same kernel covers all four strategies of the evaluation:
+ * renewables only (no battery, FWR = 0), renewables + battery,
+ * renewables + CAS, and renewables + battery + CAS. Sweeps run it on
+ * 64-lane waves; single design points (CarbonExplorer::evaluate,
+ * simulate, explain and the sizing bisections) run it on 1-lane
+ * batches. Its hourly loop is two stages:
  *
  *  1. A branch-free lane loop computing per-lane renewable supply and
  *     the fixed/flexible load split into contiguous staging arrays —
  *     the auto-vectorizable part (each lane is independent, so SIMD
- *     lanes never mix operands across design points and the values
- *     are bit-identical to scalar evaluation order).
- *  2. A per-lane scheduling/battery step that replicates the scalar
- *     engine's arithmetic operation for operation, with ClcBattery's
- *     charge/discharge math inlined on the batch's SoA state.
+ *     lanes never mix operands across design points).
+ *  2. A per-lane scheduling/battery step: the heuristic itself, with
+ *     the C/L/C battery stepped by battery/clc_step.h on the batch's
+ *     SoA state.
  *
- * Bit-identity contract: for every lane, all aggregates (and the
- * derived operational carbon) equal what SimulationEngine::run plus
- * OperationalCarbonModel::gridEmissions produce for the equivalent
- * SimulationConfig — see the differential tests in
- * tests/scheduler_batched_engine_test.cc and DESIGN.md for why the
- * layout preserves this exactly.
+ * Observers: run() takes a compile-time per-hour observer. The plain
+ * run(batch) uses NoObserver, whose empty hooks compile away, so the
+ * sweep pays nothing for the hook. RecordingObserver fills a
+ * SimulationResult's hourly series and, optionally, an
+ * obs::FlightRecorder with one row per hour of a 1-lane batch — the
+ * detail `carbonx explain` and the invariant auditor read.
+ *
+ * Reference: tests/support/simulation_engine.h keeps a plain scalar
+ * transcript of the heuristic as a test oracle; the differential
+ * tests in tests/scheduler_batched_engine_test.cc require the kernel
+ * (aggregates, operational carbon, hourly series and recordings) to
+ * reproduce it bit for bit. DESIGN.md explains why the layout
+ * preserves that exactly.
  */
 
 #ifndef CARBONX_SCHEDULER_BATCHED_ENGINE_H
 #define CARBONX_SCHEDULER_BATCHED_ENGINE_H
 
+#include <cstddef>
+#include <cstdint>
+#include <span>
+
 #include "scheduler/simulation_batch.h"
+#include "scheduler/simulation_result.h"
 #include "timeseries/timeseries.h"
 
 namespace carbonx
 {
+
+namespace obs
+{
+class FlightRecorder;
+} // namespace obs
+
+/**
+ * End-of-hour state of one lane, as the kernel hands it to its
+ * observer. Powers are MW over the one-hour step, energies MWh.
+ */
+struct LaneHour
+{
+    double load = 0.0;           ///< Original demand.
+    double renewable = 0.0;      ///< Lane renewable supply.
+    double served = 0.0;         ///< Power actually consumed.
+    double renewable_used = 0.0; ///< Renewable supply consumed.
+    double grid = 0.0;           ///< Grid draw, grid charging included.
+    double battery_in = 0.0;     ///< AC charge, grid charging included.
+    double battery_out = 0.0;    ///< AC discharge.
+    double grid_charge = 0.0;    ///< AC charge drawn from the grid.
+    double intensity = 0.0;      ///< Grid intensity (0 without series).
+    double battery_content = 0.0;  ///< Stored energy at hour end.
+    double battery_capacity = 0.0; ///< Nameplate (0 without battery).
+    double backlog = 0.0;          ///< Deferred-work backlog.
+    double deferred_total = 0.0;   ///< Energy deferred so far this run.
+    double violation_total = 0.0;  ///< SLO overflow so far this run.
+};
+
+/** The observer of sweeps: every hook is empty and compiles away. */
+struct NoObserver
+{
+    void begin(const SimulationBatch &, int, size_t, bool) {}
+    void hour(size_t, size_t, const LaneHour &) {}
+    void end(const SimulationBatch &) {}
+};
+
+/**
+ * Records a 1-lane batch: fills @p result (hourly series and
+ * aggregates) and, when @p recorder is set, one obs::HourlyRecord per
+ * hour — the carbon column only when the engine has an intensity
+ * series. Both are reset at the start of every run, so an observer
+ * may be reused across runs.
+ */
+class RecordingObserver
+{
+  public:
+    explicit RecordingObserver(SimulationResult &result,
+                               obs::FlightRecorder *recorder = nullptr)
+        : result_(result), recorder_(recorder)
+    {
+    }
+
+    void begin(const SimulationBatch &batch, int year, size_t hours,
+               bool with_carbon);
+    void hour(size_t lane, size_t h, const LaneHour &x);
+    void end(const SimulationBatch &batch);
+
+  private:
+    SimulationResult &result_;
+    obs::FlightRecorder *recorder_;
+    bool with_carbon_ = false;
+    // Previous-hour totals, turned into per-hour recorded deltas.
+    double prev_deferred_ = 0.0;
+    double prev_violation_ = 0.0;
+};
 
 /**
  * Construct once per (load, shapes, intensity) trace set and run many
@@ -65,13 +152,50 @@ class BatchedSimulationEngine
      */
     void run(SimulationBatch &batch) const;
 
-    const TimeSeries &dcPower() const { return dc_power_; }
+    /**
+     * run() with @p observer called at every lane-hour. Instantiated
+     * for NoObserver and RecordingObserver only.
+     */
+    template <class Observer>
+    void run(SimulationBatch &batch, Observer &observer) const;
+
+    /**
+     * The result of a fixed one-week canary lane built in code, which
+     * exercises the battery, carbon-aware deferral, SLO overflow and
+     * grid charging. Runs the kernel without touching the metrics.
+     */
+    static BatchLaneResult canaryResult();
+
+    /**
+     * FNV-1a hash of canaryResult()'s bits, computed once per
+     * process. Any change to the kernel's arithmetic changes it, so
+     * the persistent result cache stores it and rebuilds when it
+     * differs.
+     */
+    static uint64_t kernelFingerprint();
 
   private:
-    const TimeSeries &dc_power_;
-    const TimeSeries &solar_shape_;
-    const TimeSeries &wind_shape_;
-    const TimeSeries *grid_intensity_;
+    BatchedSimulationEngine(int year, std::span<const double> dc_power,
+                            std::span<const double> solar_shape,
+                            std::span<const double> wind_shape,
+                            const double *grid_intensity);
+
+    /** Battery step calls of one run, for the metrics. */
+    struct StepCalls
+    {
+        uint64_t charge = 0;
+        uint64_t discharge = 0;
+    };
+
+    /** The kernel proper: run() minus spans and metrics. */
+    template <class Observer>
+    StepCalls simulate(SimulationBatch &batch, Observer &observer) const;
+
+    int year_;
+    std::span<const double> dc_power_;
+    std::span<const double> solar_shape_;
+    std::span<const double> wind_shape_;
+    const double *grid_intensity_;
     double peak_mw_;
 };
 

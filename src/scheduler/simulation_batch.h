@@ -20,8 +20,8 @@
  * All validation happens in addLane (cheap, once per lane); the
  * hourly loop itself never allocates or throws. Battery parameters
  * are pre-derived here (rate caps, DoD floor, usable capacity) so the
- * kernel's charge/discharge steps are straight-line arithmetic that
- * reproduces ClcBattery bit for bit.
+ * kernel's charge/discharge steps (battery/clc_step.h, shared with
+ * ClcBattery) take them as plain operands.
  */
 
 #ifndef CARBONX_SCHEDULER_SIMULATION_BATCH_H
@@ -32,16 +32,15 @@
 
 #include "battery/chemistry.h"
 #include "common/units.h"
-#include "scheduler/simulation_engine.h"
+#include "scheduler/simulation_result.h"
 
 namespace carbonx
 {
 
 /**
- * Configuration of one batch lane: the per-point subset of
- * SimulationConfig plus the renewable investment and battery
- * parameters that the scalar path carries via the supply series and a
- * ClcBattery instance.
+ * Configuration of one batch lane: one design point's renewable
+ * investment, capacity cap, scheduling knobs, battery and
+ * grid-charging policy.
  */
 struct BatchLaneConfig
 {
@@ -63,10 +62,7 @@ struct BatchLaneConfig
     /** Battery nameplate capacity; meaningful only with a chemistry. */
     MegaWattHours battery_capacity_mwh{0.0};
 
-    /**
-     * Battery chemistry; null means "no battery attached", exactly
-     * like SimulationConfig::battery == nullptr. Non-owning.
-     */
+    /** Battery chemistry; null means "no battery attached". Non-owning. */
     const BatteryChemistry *chemistry = nullptr;
 
     /** Initial SoC; negative picks the DoD floor (ClcBattery default). */
@@ -83,8 +79,8 @@ struct BatchLaneConfig
  * Aggregated outcome of one lane: every SimulationResult aggregate
  * (the hourly series are deliberately absent — the sweep never reads
  * them, and materializing four year-long series per lane would erase
- * the batching win) plus the operational carbon the scalar path
- * derives afterwards via OperationalCarbonModel::gridEmissions.
+ * the batching win; RecordingObserver produces them for a 1-lane
+ * batch) plus the lane's operational carbon.
  */
 struct BatchLaneResult
 {
@@ -105,8 +101,8 @@ struct BatchLaneResult
     /**
      * Operational carbon: sum over hours of grid draw times grid
      * intensity, accumulated in hour order with the exact expression
-     * gridEmissions() uses, so it equals the scalar pipeline bit for
-     * bit. Zero when the engine has no intensity series.
+     * gridEmissions() uses on the hourly grid series, so the two agree
+     * bit for bit. Zero when the engine has no intensity series.
      */
     KilogramsCo2 operational_kg;
 };
@@ -181,9 +177,8 @@ class SimulationBatch
     std::vector<double> fixed_;
     std::vector<double> flex_;
 
-    // Per-lane accumulators; one slot per lane, added in hour order
-    // so every sum sees the identical sequence of operands as the
-    // scalar engine's per-run accumulators.
+    // Per-lane accumulators; one slot per lane, added in hour order,
+    // so a lane's sums do not depend on the batch it ran in.
     std::vector<double> acc_load_;
     std::vector<double> acc_served_;
     std::vector<double> acc_grid_;

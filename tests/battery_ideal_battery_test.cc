@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "battery/ideal_battery.h"
+#include "support/ideal_battery.h"
 #include "common/error.h"
 
 namespace carbonx

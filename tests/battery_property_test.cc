@@ -13,7 +13,7 @@
 #include <tuple>
 
 #include "battery/clc_battery.h"
-#include "battery/ideal_battery.h"
+#include "support/ideal_battery.h"
 #include "common/rng.h"
 
 namespace carbonx

@@ -9,6 +9,7 @@
 
 #include "common/csv.h"
 #include "common/error.h"
+#include "support/temp_dir.h"
 
 namespace carbonx
 {
@@ -111,7 +112,7 @@ TEST(Csv, FileRoundTrip)
     CsvTable t({"v"});
     t.addNumericRow({3.5});
     const std::string path =
-        testing::TempDir() + "/carbonx_csv_test.csv";
+        testsupport::uniqueTestDir() + "carbonx_csv_test.csv";
     t.writeFile(path);
     const CsvTable back = CsvTable::readFile(path);
     EXPECT_DOUBLE_EQ(back.numericCell(0, 0), 3.5);

@@ -23,6 +23,7 @@
 #include "common/result_cache.h"
 #include "common/rng.h"
 #include "core/explorer.h"
+#include "support/temp_dir.h"
 
 namespace carbonx
 {
@@ -30,12 +31,13 @@ namespace
 {
 
 constexpr uint64_t kDigest = 0x5eedf00ddeadbeefULL;
+constexpr uint64_t kFingerprint = 0x6b65726e656c3031ULL;
 constexpr uint32_t kWidth = 3;
 
 std::string
 tempPath(const std::string &name)
 {
-    return testing::TempDir() + name;
+    return testsupport::uniqueTestDir() + name;
 }
 
 ResultCache::Key
@@ -58,7 +60,8 @@ void
 writeReference(const std::string &path, size_t blocks, size_t per)
 {
     std::remove(path.c_str());
-    ResultCache cache(path, kDigest, kWidth, "fuzz-reference");
+    ResultCache cache(path, kDigest, kFingerprint, kWidth,
+                      "fuzz-reference");
     size_t next = 0;
     for (size_t b = 0; b < blocks; ++b) {
         for (size_t r = 0; r < per; ++r, ++next)
@@ -91,7 +94,7 @@ writeAll(const std::string &path, const std::vector<char> &bytes)
 void
 expectCleanOrPrefix(const std::string &path, size_t total_records)
 {
-    const ResultCache cache(path, kDigest, kWidth);
+    const ResultCache cache(path, kDigest, kFingerprint, kWidth);
     EXPECT_LE(cache.loadedFromDisk(), total_records);
     size_t found = 0;
     for (size_t i = 0; i < total_records; ++i) {
@@ -158,7 +161,7 @@ TEST(ResultCacheFuzz, GarbageTailFromCrashMidAppendIsDropped)
         bytes.push_back(static_cast<char>(i * 37));
     writeAll(path, bytes);
 
-    const ResultCache cache(path, kDigest, kWidth);
+    const ResultCache cache(path, kDigest, kFingerprint, kWidth);
     EXPECT_EQ(cache.loadedFromDisk(), 10u);
     EXPECT_FALSE(cache.rebuildReason().empty());
     std::remove(path.c_str());
@@ -171,7 +174,7 @@ TEST(ResultCacheFuzz, HeaderMismatchesRebuildFromEmpty)
     // Config digest mismatch: a cache written for another study.
     writeReference(path, 1, 4);
     {
-        const ResultCache other(path, kDigest + 1, kWidth);
+        const ResultCache other(path, kDigest + 1, kFingerprint, kWidth);
         EXPECT_EQ(other.loadedFromDisk(), 0u);
         EXPECT_FALSE(other.rebuildReason().empty());
     }
@@ -179,7 +182,7 @@ TEST(ResultCacheFuzz, HeaderMismatchesRebuildFromEmpty)
     // Payload width mismatch: same study, different record layout.
     writeReference(path, 1, 4);
     {
-        const ResultCache wider(path, kDigest, kWidth + 2);
+        const ResultCache wider(path, kDigest, kFingerprint, kWidth + 2);
         EXPECT_EQ(wider.loadedFromDisk(), 0u);
         EXPECT_FALSE(wider.rebuildReason().empty());
     }
@@ -192,10 +195,37 @@ TEST(ResultCacheFuzz, HeaderMismatchesRebuildFromEmpty)
         ASSERT_GT(bytes.size(), 12u);
         bytes[8] = static_cast<char>(bytes[8] + 1);
         writeAll(path, bytes);
-        const ResultCache bumped(path, kDigest, kWidth);
+        const ResultCache bumped(path, kDigest, kFingerprint, kWidth);
         EXPECT_EQ(bumped.loadedFromDisk(), 0u);
         EXPECT_FALSE(bumped.rebuildReason().empty());
     }
+    std::remove(path.c_str());
+}
+
+TEST(ResultCacheFuzz, KernelFingerprintMismatchRebuilds)
+{
+    // Same study, same layout, but the payloads were computed by a
+    // different simulation kernel: the cache must not serve them.
+    const std::string path = tempPath("rc_fuzz_kernel.cxrc");
+    writeReference(path, 2, 4);
+    {
+        const ResultCache same(path, kDigest, kFingerprint, kWidth);
+        EXPECT_EQ(same.loadedFromDisk(), 8u);
+        EXPECT_TRUE(same.rebuildReason().empty());
+    }
+    {
+        ResultCache other(path, kDigest, kFingerprint + 1, kWidth);
+        EXPECT_EQ(other.loadedFromDisk(), 0u);
+        EXPECT_NE(other.rebuildReason().find("kernel"), std::string::npos)
+            << other.rebuildReason();
+        other.insert(keyOf(0), payloadOf(0).data());
+    }
+    // The rebuilt file now belongs to the new kernel only.
+    const ResultCache rebuilt(path, kDigest, kFingerprint + 1, kWidth);
+    EXPECT_EQ(rebuilt.loadedFromDisk(), 1u);
+    EXPECT_TRUE(rebuilt.rebuildReason().empty());
+    const ResultCache old_kernel(path, kDigest, kFingerprint, kWidth);
+    EXPECT_EQ(old_kernel.loadedFromDisk(), 0u);
     std::remove(path.c_str());
 }
 
@@ -208,7 +238,7 @@ TEST(ResultCacheFuzz, RebuildAfterCorruptionWritesAUsableFile)
     writeAll(path, bytes);
 
     {
-        ResultCache cache(path, kDigest, kWidth);
+        ResultCache cache(path, kDigest, kFingerprint, kWidth);
         const size_t kept = cache.loadedFromDisk();
         EXPECT_LT(kept, 8u);
         // Re-insert what was lost and flush a repaired file.
@@ -216,7 +246,7 @@ TEST(ResultCacheFuzz, RebuildAfterCorruptionWritesAUsableFile)
             cache.insert(keyOf(i), payloadOf(i).data());
         cache.flush();
     }
-    const ResultCache repaired(path, kDigest, kWidth);
+    const ResultCache repaired(path, kDigest, kFingerprint, kWidth);
     EXPECT_EQ(repaired.loadedFromDisk(), 8u);
     EXPECT_TRUE(repaired.rebuildReason().empty());
     std::remove(path.c_str());

@@ -21,6 +21,7 @@
 #include "core/adaptive_sweep.h"
 #include "core/explorer.h"
 #include "obs/metrics.h"
+#include "support/temp_dir.h"
 
 namespace carbonx
 {
@@ -221,7 +222,7 @@ TEST(AdaptiveDifferentialSuite, WarmCacheServesRepeatSweepWithoutSimulating)
     const Region r{"ERCO", 2020, 19.0, 10.0, Strategy::RenewablesOnly,
                    13, 1, 1};
     CarbonExplorer explorer(configFor(r));
-    const std::string path = ::testing::TempDir() +
+    const std::string path = testsupport::uniqueTestDir() +
         "adaptive_differential_cache.cxrc";
     std::remove(path.c_str());
 

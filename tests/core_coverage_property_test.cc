@@ -11,7 +11,7 @@
 
 #include "common/rng.h"
 #include "core/coverage.h"
-#include "scheduler/simulation_engine.h"
+#include "support/simulation_engine.h"
 
 namespace carbonx
 {

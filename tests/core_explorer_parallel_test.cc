@@ -17,6 +17,7 @@
 #include "common/parallel.h"
 #include "core/explorer.h"
 #include "obs/profiler.h"
+#include "support/simulation_engine.h"
 
 namespace carbonx
 {

@@ -12,6 +12,7 @@
 #include "common/csv.h"
 #include "common/error.h"
 #include "core/explorer.h"
+#include "support/temp_dir.h"
 
 namespace carbonx
 {
@@ -97,7 +98,7 @@ TEST(ExternalTraces, CsvRoundTrip)
     // Export a trace CSV the way a user would prepare EIA data, read
     // it back, and verify the explorer sees identical series.
     const std::string path =
-        testing::TempDir() + "/carbonx_traces.csv";
+        testsupport::uniqueTestDir() + "carbonx_traces.csv";
     CsvTable csv({"hour", "dc_power_mw", "solar_mw", "wind_mw",
                   "intensity_g_per_kwh"});
     const HourlyCalendar cal(kYear);
@@ -128,7 +129,7 @@ TEST(ExternalTraces, CsvValidation)
                  UserError);
     // Wrong row count.
     const std::string path =
-        testing::TempDir() + "/carbonx_short.csv";
+        testsupport::uniqueTestDir() + "carbonx_short.csv";
     CsvTable csv({"dc_power_mw", "solar_mw", "wind_mw",
                   "intensity_g_per_kwh"});
     csv.addNumericRow({1.0, 2.0, 3.0, 4.0});
@@ -142,7 +143,7 @@ TEST(ExternalTraces, CsvRejectsDeadRenewableColumn)
     // export) used to scale into a silent all-zero shape; it must now
     // be reported as an input error instead.
     const std::string path =
-        testing::TempDir() + "/carbonx_dead_solar.csv";
+        testsupport::uniqueTestDir() + "carbonx_dead_solar.csv";
     CsvTable csv({"dc_power_mw", "solar_mw", "wind_mw",
                   "intensity_g_per_kwh"});
     const HourlyCalendar cal(kYear);
@@ -169,7 +170,7 @@ TEST(ExternalTraces, SyntheticExportFeedsBackIdentically)
     const CarbonExplorer original(cfg);
 
     const std::string path =
-        testing::TempDir() + "/carbonx_export.csv";
+        testsupport::uniqueTestDir() + "carbonx_export.csv";
     CsvTable csv({"dc_power_mw", "solar_mw", "wind_mw",
                   "intensity_g_per_kwh"});
     const auto &grid = original.gridTrace();

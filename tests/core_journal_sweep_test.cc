@@ -22,6 +22,7 @@
 #include "core/explorer.h"
 #include "obs/journal.h"
 #include "obs/status.h"
+#include "support/temp_dir.h"
 
 namespace carbonx
 {
@@ -38,7 +39,7 @@ struct ThreadCountGuard
 std::string
 tempPath(const std::string &name)
 {
-    return testing::TempDir() + name;
+    return testsupport::uniqueTestDir() + name;
 }
 
 ExplorerConfig

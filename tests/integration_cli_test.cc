@@ -327,11 +327,11 @@ TEST(Cli, BatteryWritesMetricsAndTraceFiles)
 
     const std::string metrics = readFile(metrics_path);
     EXPECT_NE(metrics.find("\"provenance\""), std::string::npos);
-    EXPECT_NE(metrics.find("\"sim.runs\""), std::string::npos);
+    EXPECT_NE(metrics.find("\"sim.batch_lanes\""), std::string::npos);
 
     const std::string trace = readFile(trace_path);
     EXPECT_EQ(trace.rfind("{\"traceEvents\": [", 0), 0u);
-    EXPECT_NE(trace.find("sim/run"), std::string::npos);
+    EXPECT_NE(trace.find("sim/batch_run"), std::string::npos);
 
     std::remove(metrics_path.c_str());
     std::remove(trace_path.c_str());

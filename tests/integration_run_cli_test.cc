@@ -17,10 +17,13 @@
 #include <sstream>
 #include <string>
 
+#include "support/temp_dir.h"
+
 namespace
 {
 
 namespace fs = std::filesystem;
+using carbonx::testsupport::uniqueTestDir;
 
 constexpr const char *kCliPath = "../tools/carbonx";
 constexpr const char *kScenarioDir = CARBONX_SCENARIO_DIR;
@@ -39,7 +42,7 @@ runCli(const std::string &args)
 {
     CliRun result;
     const std::string err_path =
-        testing::TempDir() + "run_cli_stderr.txt";
+        uniqueTestDir() + "run_cli_stderr.txt";
     const std::string command =
         std::string(kCliPath) + " " + args + " 2>" + err_path;
     FILE *pipe = popen(command.c_str(), "r");
@@ -163,7 +166,7 @@ TEST(RunCli, OptimizeScenarioFlagSharesTheExitCode)
 TEST(RunCli, EmptyRegistryExitsFive)
 {
     REQUIRE_CLI();
-    const std::string empty_dir = testing::TempDir() + "no_scenarios";
+    const std::string empty_dir = uniqueTestDir() + "no_scenarios";
     fs::create_directories(empty_dir);
     const CliRun run_r =
         runCli("run pace-combined --scenario-dir " + empty_dir);
@@ -200,8 +203,8 @@ TEST(RunCli, RunProducesAProvenanceStampedReport)
 TEST(RunCli, ReportIsByteStableRunToRun)
 {
     REQUIRE_CLI();
-    const std::string a = testing::TempDir() + "run_report_a.txt";
-    const std::string b = testing::TempDir() + "run_report_b.txt";
+    const std::string a = uniqueTestDir() + "run_report_a.txt";
+    const std::string b = uniqueTestDir() + "run_report_b.txt";
     const std::string base =
         "run pace-ren " + scenarioDirFlag() + " --report-out ";
     ASSERT_EQ(runCli(base + a).exit_code, 0);
@@ -217,8 +220,8 @@ TEST(RunCli, ReportIsByteStableRunToRun)
 TEST(RunCli, RefineReportMatchesExhaustiveModuloSweepLines)
 {
     REQUIRE_CLI();
-    const std::string a = testing::TempDir() + "run_report_ex.txt";
-    const std::string b = testing::TempDir() + "run_report_ref.txt";
+    const std::string a = uniqueTestDir() + "run_report_ex.txt";
+    const std::string b = uniqueTestDir() + "run_report_ref.txt";
     const std::string base = "run pace-ren " + scenarioDirFlag();
     ASSERT_EQ(runCli(base + " --exhaustive --report-out " + a).exit_code,
               0);

@@ -19,6 +19,7 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "obs/journal.h"
+#include "support/temp_dir.h"
 
 namespace carbonx
 {
@@ -30,7 +31,7 @@ constexpr uint64_t kDigest = 0x5eedf00ddeadbeefULL;
 std::string
 tempPath(const std::string &name)
 {
-    return testing::TempDir() + name;
+    return testsupport::uniqueTestDir() + name;
 }
 
 obs::DecisionRow

@@ -22,6 +22,7 @@
 #include "common/error.h"
 #include "common/fnv.h"
 #include "obs/journal.h"
+#include "support/temp_dir.h"
 
 // ---------------------------------------------------------------------------
 // Counting operator new/delete. Each test file is its own executable,
@@ -148,7 +149,7 @@ constexpr uint64_t kDigest = 0xabcdef0123456789ULL;
 std::string
 tempPath(const std::string &name)
 {
-    return testing::TempDir() + name;
+    return testsupport::uniqueTestDir() + name;
 }
 
 obs::DecisionRow

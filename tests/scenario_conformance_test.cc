@@ -34,6 +34,7 @@
 #include "obs/journal.h"
 #include "scenario/registry.h"
 #include "scenario/runner.h"
+#include "support/temp_dir.h"
 
 namespace carbonx::scenario
 {
@@ -43,7 +44,7 @@ namespace
 std::string
 tempPath(const std::string &name)
 {
-    return testing::TempDir() + name;
+    return testsupport::uniqueTestDir() + name;
 }
 
 uint64_t

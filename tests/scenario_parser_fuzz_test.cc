@@ -25,6 +25,7 @@
 #include "common/json.h"
 #include "scenario/registry.h"
 #include "scenario/scenario.h"
+#include "support/temp_dir.h"
 
 namespace carbonx::scenario
 {
@@ -283,7 +284,7 @@ TEST(ScenarioParserFuzz, CyclicExtendsNamesTheChain)
 TEST(ScenarioParserFuzz, UnknownParentIsDiagnosed)
 {
     const std::string dir =
-        testing::TempDir() + "fuzz_unknown_parent";
+        testsupport::uniqueTestDir() + "fuzz_unknown_parent";
     fs::create_directories(dir);
     {
         std::ofstream out(dir + "/orphan.json");
@@ -302,7 +303,7 @@ TEST(ScenarioParserFuzz, UnknownParentIsDiagnosed)
 TEST(ScenarioParserFuzz, MissingDirectoryYieldsEmptyRegistry)
 {
     const ScenarioRegistry reg = ScenarioRegistry::loadDirectory(
-        testing::TempDir() + "no_such_scenario_dir");
+        testsupport::uniqueTestDir() + "no_such_scenario_dir");
     EXPECT_TRUE(reg.empty());
 }
 

@@ -1,12 +1,14 @@
 /**
  * @file
  * Differential tests of the batched SoA simulation kernel: for every
- * lane configuration, BatchedSimulationEngine::run must reproduce
- * SimulationEngine::run (plus OperationalCarbonModel::gridEmissions)
- * bit for bit — across randomized configs, batch sizes, re-runs,
- * profiled runs, and the parallel sweep at several thread counts.
- * Also covers the allocation-freedom contract of the hot loop and the
- * SimulationScratch pushFront head==0 regression.
+ * lane configuration, BatchedSimulationEngine::run must reproduce the
+ * scalar oracle SimulationEngine::run (plus
+ * OperationalCarbonModel::gridEmissions) bit for bit — across
+ * randomized configs, batch sizes, re-runs, profiled runs, recorded
+ * runs, and the parallel sweep at several thread counts. Also covers
+ * the allocation-freedom contract of the hot loop, the kernel
+ * fingerprint canary, and the SimulationScratch pushFront head==0
+ * regression.
  */
 
 #include <gtest/gtest.h>
@@ -24,10 +26,12 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "core/explorer.h"
+#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "scheduler/batched_engine.h"
 #include "scheduler/simulation_batch.h"
-#include "scheduler/simulation_engine.h"
+#include "support/differential.h"
+#include "support/simulation_engine.h"
 
 // ---------------------------------------------------------------------------
 // Allocation counting. One test executable per source file (see
@@ -704,9 +708,99 @@ TEST(BatchedEngine, ProfiledRunIsBitIdenticalAndRecordsPhases)
     EXPECT_NE(findDeep(merged, "sim/batch_drain", findDeep), nullptr);
 }
 
+TEST(BatchedEngine, RecordingObserverMatchesOracleRecorder)
+{
+    // On randomized lanes, plus SLO-pressure and grid-charging lanes,
+    // a 1-lane kernel run under the recording observer must reproduce
+    // the oracle's four hourly series and flight-recorder rows exactly
+    // (runBoth checks every column bit for bit).
+    const SyntheticTraces t = makeTraces(0xC0DE);
+    const BatteryChemistry lfp = BatteryChemistry::lithiumIronPhosphate();
+    const BatteryChemistry conservative = conservativeChemistry();
+    const double peak = peakOf(t.load);
+    Rng rng(31, "recorded-lanes");
+
+    std::vector<BatchLaneConfig> configs;
+    for (int i = 0; i < 12; ++i)
+        configs.push_back(randomLane(rng, peak, &lfp, &conservative));
+    for (const double window : {1.0, 3.0}) {
+        BatchLaneConfig slo;
+        slo.solar_mw = MegaWatts(5.0);
+        slo.wind_mw = MegaWatts(2.0);
+        slo.capacity_cap_mw = MegaWatts(peak);
+        slo.flexible_ratio = Fraction(0.6);
+        slo.slo_window_hours = Hours(window);
+        slo.chemistry = &conservative;
+        slo.battery_capacity_mwh = MegaWattHours(15.0);
+        configs.push_back(slo);
+    }
+    BatchLaneConfig arb;
+    arb.capacity_cap_mw = MegaWatts(peak * 1.1);
+    arb.flexible_ratio = Fraction(0.3);
+    arb.chemistry = &lfp;
+    arb.battery_capacity_mwh = MegaWattHours(80.0);
+    arb.grid_charge_policy = GridChargePolicy::BelowIntensityThreshold;
+    arb.grid_charge_threshold_gkwh = GramsPerKwh(300.0);
+    configs.push_back(arb);
+
+    size_t deferring = 0;
+    size_t grid_charging = 0;
+    for (size_t i = 0; i < configs.size(); ++i) {
+        SCOPED_TRACE("lane " + std::to_string(i));
+        const SimulationResult r = testsupport::runBoth(
+            {t.load, t.solar_shape, t.wind_shape, &t.intensity},
+            configs[i]);
+        deferring += r.deferred_mwh.value() > 0.0 ? 1 : 0;
+        grid_charging += r.grid_charge_mwh.value() > 0.0 ? 1 : 0;
+    }
+    EXPECT_GT(deferring, 0u);
+    EXPECT_GT(grid_charging, 0u);
+}
+
+TEST(BatchedEngine, RecordingObserverRequiresOneLane)
+{
+    const SyntheticTraces t = makeTraces(0x1A7E);
+    BatchLaneConfig lane;
+    lane.capacity_cap_mw = MegaWatts(peakOf(t.load));
+    const BatchedSimulationEngine engine(t.load, t.solar_shape,
+                                         t.wind_shape, &t.intensity);
+    SimulationBatch batch(2);
+    batch.addLane(lane);
+    batch.addLane(lane);
+    SimulationResult result(kYear);
+    RecordingObserver observer(result);
+    EXPECT_THROW(engine.run(batch, observer), UserError);
+}
+
+TEST(BatchedEngine, CanaryExercisesEveryBranchWithoutMetrics)
+{
+    // The kernel fingerprint hashes the canary's result bits, so the
+    // canary must reach every branch whose arithmetic it guards, give
+    // the same bits on every run, and stay invisible to the work
+    // counters (it runs inside cache opens mid-study).
+    const uint64_t lanes_before = obs::counter("sim.batch_lanes").value();
+    const uint64_t hours_before =
+        obs::counter("sim.hours_simulated").value();
+    const BatchLaneResult r = BatchedSimulationEngine::canaryResult();
+    EXPECT_EQ(obs::counter("sim.batch_lanes").value(), lanes_before);
+    EXPECT_EQ(obs::counter("sim.hours_simulated").value(), hours_before);
+
+    EXPECT_GT(r.battery_cycles, 0.0);
+    EXPECT_GT(r.deferred_mwh.value(), 0.0);
+    EXPECT_GT(r.slo_violation_mwh.value(), 0.0);
+    EXPECT_GT(r.grid_charge_mwh.value(), 0.0);
+    EXPECT_GT(r.operational_kg.value(), 0.0);
+
+    const BatchLaneResult again = BatchedSimulationEngine::canaryResult();
+    EXPECT_EQ(again.grid_energy_mwh.value(), r.grid_energy_mwh.value());
+    EXPECT_EQ(again.operational_kg.value(), r.operational_kg.value());
+    EXPECT_EQ(BatchedSimulationEngine::kernelFingerprint(),
+              BatchedSimulationEngine::kernelFingerprint());
+}
+
 // ---------------------------------------------------------------------------
 // Sweep-level differential: the batched evaluator inside optimize()
-// against the scalar single-point evaluate() path.
+// against the single-point evaluate() path.
 // ---------------------------------------------------------------------------
 
 ExplorerConfig
@@ -742,10 +836,10 @@ expectEvalIdentical(const Evaluation &a, const Evaluation &b)
 
 TEST(BatchedSweep, OptimizeMatchesScalarEvaluateAcrossThreadCounts)
 {
-    // optimize() routes every design point through the batched SoA
-    // kernel; evaluate() keeps the scalar reference pipeline. The two
-    // must agree bit for bit on every point of the lattice, at any
-    // worker count.
+    // optimize() runs every design point in 64-lane waves on the
+    // thread pool; evaluate() runs one point in a 1-lane batch. The
+    // two must agree bit for bit on every point of the lattice, at
+    // any worker count.
     const CarbonExplorer explorer(utahConfig());
     const DesignSpace space = DesignSpace::forDatacenter(19.0, 6.0, 3, 3, 2);
 

@@ -1,21 +1,27 @@
 /**
  * @file
  * Tests of the grid-charging (carbon arbitrage) extension of the
- * simulation engine.
+ * co-simulation. Every case runs on the kernel (a 1-lane batch) and on
+ * the scalar oracle, which must agree bit for bit; the assertions
+ * check the kernel's result.
  */
 
 #include <gtest/gtest.h>
 
-#include "battery/clc_battery.h"
-#include "battery/ideal_battery.h"
+#include "battery/chemistry.h"
 #include "carbon/operational.h"
 #include "common/error.h"
-#include "scheduler/simulation_engine.h"
+#include "support/differential.h"
 
 namespace carbonx
 {
 namespace
 {
+
+using testsupport::LaneTraces;
+using testsupport::runBoth;
+using testsupport::runKernel;
+using testsupport::runOracle;
 
 constexpr int kYear = 2021;
 
@@ -38,31 +44,58 @@ dayNightIntensity()
     return ts;
 }
 
+const BatteryChemistry &
+ideal()
+{
+    static const BatteryChemistry chem = testsupport::idealChemistry();
+    return chem;
+}
+
+/** No renewables at all, a 20 MW cap and a battery of @p mwh. */
+BatchLaneConfig
+batteryLane(const BatteryChemistry &chem, double mwh)
+{
+    BatchLaneConfig lane;
+    lane.capacity_cap_mw = MegaWatts(20.0);
+    lane.chemistry = &chem;
+    lane.battery_capacity_mwh = MegaWattHours(mwh);
+    return lane;
+}
+
+BatchLaneConfig
+arbitrage(BatchLaneConfig lane, double threshold)
+{
+    lane.grid_charge_policy = GridChargePolicy::BelowIntensityThreshold;
+    lane.grid_charge_threshold_gkwh = GramsPerKwh(threshold);
+    return lane;
+}
+
+/** Both engines on a flat 10 MW load with zero renewable supply. */
+struct NoRenewables
+{
+    TimeSeries load = flatLoad();
+    TimeSeries zero{kYear};
+    TimeSeries intensity = dayNightIntensity();
+
+    SimulationResult run(const BatchLaneConfig &lane) const
+    {
+        return runBoth(LaneTraces{load, zero, zero, &intensity}, lane);
+    }
+};
+
 TEST(GridCharging, NeverPolicyDrawsNoChargeEnergy)
 {
-    IdealBattery battery(MegaWattHours(100.0));
-    const SimulationEngine engine(flatLoad(), TimeSeries(kYear));
-    SimulationConfig cfg;
-    cfg.capacity_cap_mw = MegaWatts(20.0);
-    cfg.battery = &battery;
-    const SimulationResult r = engine.run(cfg);
+    const NoRenewables world;
+    const SimulationResult r = world.run(batteryLane(ideal(), 100.0));
     EXPECT_DOUBLE_EQ(r.grid_charge_mwh.value(), 0.0);
 }
 
 TEST(GridCharging, ThresholdPolicyChargesOnCleanHours)
 {
-    IdealBattery battery(MegaWattHours(50.0));
-    const TimeSeries intensity = dayNightIntensity();
     // No renewables at all: only grid-charging can move energy.
-    const SimulationEngine engine(flatLoad(), TimeSeries(kYear));
-    SimulationConfig cfg;
-    cfg.capacity_cap_mw = MegaWatts(20.0);
-    cfg.battery = &battery;
-    cfg.grid_charge_policy =
-        GridChargePolicy::BelowIntensityThreshold;
-    cfg.grid_charge_threshold_gkwh = GramsPerKwh(200.0);
-    cfg.grid_intensity = &intensity;
-    const SimulationResult r = engine.run(cfg);
+    const NoRenewables world;
+    const SimulationResult r =
+        world.run(arbitrage(batteryLane(ideal(), 50.0), 200.0));
     EXPECT_GT(r.grid_charge_mwh.value(), 0.0);
     EXPECT_GT(r.battery_cycles, 100.0); // Cycles most days.
 }
@@ -72,30 +105,22 @@ TEST(GridCharging, ArbitrageReducesOperationalCarbon)
     // Even with zero renewables, storing clean daytime grid energy
     // and discharging it at night must cut total emissions despite
     // round-trip losses.
-    const TimeSeries intensity = dayNightIntensity();
-    const SimulationEngine engine(flatLoad(), TimeSeries(kYear));
-
-    SimulationConfig plain;
+    const NoRenewables world;
+    BatchLaneConfig plain;
     plain.capacity_cap_mw = MegaWatts(20.0);
-    const SimulationResult base = engine.run(plain);
+    const SimulationResult base = world.run(plain);
 
-    ClcBattery battery(MegaWattHours(120.0),
-                       BatteryChemistry::lithiumIronPhosphate());
-    SimulationConfig arb = plain;
-    arb.battery = &battery;
-    arb.grid_charge_policy =
-        GridChargePolicy::BelowIntensityThreshold;
-    arb.grid_charge_threshold_gkwh = GramsPerKwh(200.0);
-    arb.grid_intensity = &intensity;
-    const SimulationResult with_arb = engine.run(arb);
+    const BatteryChemistry lfp = BatteryChemistry::lithiumIronPhosphate();
+    const SimulationResult with_arb =
+        world.run(arbitrage(batteryLane(lfp, 120.0), 200.0));
 
     const double base_kg =
         OperationalCarbonModel::gridEmissions(base.grid_power,
-                                              intensity)
+                                              world.intensity)
             .value();
     const double arb_kg =
         OperationalCarbonModel::gridEmissions(with_arb.grid_power,
-                                              intensity)
+                                              world.intensity)
             .value();
     EXPECT_LT(arb_kg, base_kg);
 
@@ -105,17 +130,9 @@ TEST(GridCharging, ArbitrageReducesOperationalCarbon)
 
 TEST(GridCharging, ChargeEnergyCountsAsGridDraw)
 {
-    IdealBattery battery(MegaWattHours(50.0));
-    const TimeSeries intensity = dayNightIntensity();
-    const SimulationEngine engine(flatLoad(), TimeSeries(kYear));
-    SimulationConfig cfg;
-    cfg.capacity_cap_mw = MegaWatts(20.0);
-    cfg.battery = &battery;
-    cfg.grid_charge_policy =
-        GridChargePolicy::BelowIntensityThreshold;
-    cfg.grid_charge_threshold_gkwh = GramsPerKwh(200.0);
-    cfg.grid_intensity = &intensity;
-    const SimulationResult r = engine.run(cfg);
+    const NoRenewables world;
+    const SimulationResult r =
+        world.run(arbitrage(batteryLane(ideal(), 50.0), 200.0));
     // The charge energy is drawn from the grid, and with a lossless
     // battery every stored MWh later displaces a grid MWh, so the
     // total grid energy equals the load exactly — but the draw has
@@ -125,7 +142,7 @@ TEST(GridCharging, ChargeEnergyCountsAsGridDraw)
     // At least the charged energy was billed during clean hours.
     double clean_grid_mwh = 0.0;
     for (size_t h = 0; h < r.grid_power.size(); ++h) {
-        if (intensity[h] <= 200.0)
+        if (world.intensity[h] <= 200.0)
             clean_grid_mwh += r.grid_power[h];
     }
     EXPECT_GE(clean_grid_mwh + 1e-6, r.grid_charge_mwh.value());
@@ -133,18 +150,10 @@ TEST(GridCharging, ChargeEnergyCountsAsGridDraw)
 
 TEST(GridCharging, HighThresholdChargesMoreThanLowThreshold)
 {
-    const TimeSeries intensity = dayNightIntensity();
-    const SimulationEngine engine(flatLoad(), TimeSeries(kYear));
+    const NoRenewables world;
     auto chargeAt = [&](double threshold) {
-        IdealBattery battery(MegaWattHours(50.0));
-        SimulationConfig cfg;
-        cfg.capacity_cap_mw = MegaWatts(20.0);
-        cfg.battery = &battery;
-        cfg.grid_charge_policy =
-            GridChargePolicy::BelowIntensityThreshold;
-        cfg.grid_charge_threshold_gkwh = GramsPerKwh(threshold);
-        cfg.grid_intensity = &intensity;
-        return engine.run(cfg).grid_charge_mwh.value();
+        return world.run(arbitrage(batteryLane(ideal(), 50.0), threshold))
+            .grid_charge_mwh.value();
     };
     EXPECT_DOUBLE_EQ(chargeAt(50.0), 0.0);   // Nothing qualifies.
     EXPECT_GT(chargeAt(800.0), chargeAt(200.0) - 1e-9);
@@ -153,18 +162,17 @@ TEST(GridCharging, HighThresholdChargesMoreThanLowThreshold)
 
 TEST(GridCharging, RequiresIntensitySeries)
 {
-    IdealBattery battery(MegaWattHours(50.0));
-    const SimulationEngine engine(flatLoad(), TimeSeries(kYear));
-    SimulationConfig cfg;
-    cfg.capacity_cap_mw = MegaWatts(20.0);
-    cfg.battery = &battery;
-    cfg.grid_charge_policy =
-        GridChargePolicy::BelowIntensityThreshold;
-    EXPECT_THROW(engine.run(cfg), UserError);
+    const TimeSeries load = flatLoad();
+    const TimeSeries zero(kYear);
+    const BatchLaneConfig lane = arbitrage(batteryLane(ideal(), 50.0), 0.0);
+    const LaneTraces no_intensity{load, zero, zero};
+    EXPECT_THROW(runOracle(no_intensity, lane), UserError);
+    EXPECT_THROW(runKernel(no_intensity, lane), UserError);
 
     const TimeSeries wrong_year(2020, 100.0);
-    cfg.grid_intensity = &wrong_year;
-    EXPECT_THROW(engine.run(cfg), UserError);
+    const LaneTraces mismatched{load, zero, zero, &wrong_year};
+    EXPECT_THROW(runOracle(mismatched, lane), UserError);
+    EXPECT_THROW(runKernel(mismatched, lane), UserError);
 }
 
 } // namespace

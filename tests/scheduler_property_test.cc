@@ -1,8 +1,10 @@
 /**
  * @file
- * Property-based tests of the co-simulation engine: invariants that
- * must hold for every region, strategy knob, and random load/supply
- * combination.
+ * Property-based tests of the co-simulation: invariants that must
+ * hold for every region, strategy knob, and random load/supply
+ * combination. Every run goes through the kernel (a 1-lane batch) and
+ * the scalar oracle, which must agree bit for bit; the assertions
+ * check the kernel's result.
  */
 
 #include <gtest/gtest.h>
@@ -11,9 +13,9 @@
 #include <numbers>
 #include <tuple>
 
-#include "battery/clc_battery.h"
+#include "battery/chemistry.h"
 #include "common/rng.h"
-#include "scheduler/simulation_engine.h"
+#include "support/differential.h"
 
 namespace carbonx
 {
@@ -38,18 +40,54 @@ randomLoad(Rng &rng)
     return ts;
 }
 
-/** Random renewable supply: bursty, sometimes zero. */
-TimeSeries
-randomSupply(Rng &rng)
+/**
+ * Random renewable supply: bursty, sometimes zero. A per-unit shape
+ * (the level) times a peak nameplate, which is how lanes take supply.
+ */
+struct RandomSupply
 {
-    TimeSeries ts(kYear);
-    const double peak = rng.uniform(0.0, 120.0);
-    double level = 0.5;
-    for (size_t h = 0; h < ts.size(); ++h) {
-        level = std::clamp(level + rng.normal(0.0, 0.08), 0.0, 1.0);
-        ts[h] = peak * level;
+    TimeSeries shape{kYear};
+    TimeSeries none{kYear};
+    double peak = 0.0;
+
+    explicit RandomSupply(Rng &rng) : peak(rng.uniform(0.0, 120.0))
+    {
+        double level = 0.5;
+        for (size_t h = 0; h < shape.size(); ++h) {
+            level = std::clamp(level + rng.normal(0.0, 0.08), 0.0, 1.0);
+            shape[h] = level;
+        }
     }
-    return ts;
+
+    /** The supply series a lane of laneFor() sees. */
+    TimeSeries series(const TimeSeries &load) const
+    {
+        return testsupport::laneSupply({load, shape, none},
+                                       laneFor(load.max()));
+    }
+
+    /** A lane drawing this supply under a cap of @p cap_mw. */
+    BatchLaneConfig laneFor(double cap_mw) const
+    {
+        BatchLaneConfig lane;
+        lane.solar_mw = MegaWatts(peak);
+        lane.capacity_cap_mw = MegaWatts(cap_mw);
+        return lane;
+    }
+
+    SimulationResult run(const TimeSeries &load,
+                         const BatchLaneConfig &lane) const
+    {
+        return testsupport::runBoth({load, shape, none}, lane);
+    }
+};
+
+const BatteryChemistry &
+lfp()
+{
+    static const BatteryChemistry chem =
+        BatteryChemistry::lithiumIronPhosphate();
+    return chem;
 }
 
 class EngineProperty
@@ -62,16 +100,17 @@ TEST_P(EngineProperty, InvariantsHold)
     const auto [seed, fwr, battery_hours] = GetParam();
     Rng rng(seed);
     const TimeSeries load = randomLoad(rng);
-    const TimeSeries supply = randomSupply(rng);
-    const SimulationEngine engine(load, supply);
+    const RandomSupply random_supply(rng);
+    const TimeSeries supply = random_supply.series(load);
 
-    ClcBattery battery(MegaWattHours(battery_hours * load.mean()),
-                       BatteryChemistry::lithiumIronPhosphate());
-    SimulationConfig cfg;
-    cfg.capacity_cap_mw = MegaWatts(load.max() * 1.4);
+    BatchLaneConfig cfg = random_supply.laneFor(load.max() * 1.4);
     cfg.flexible_ratio = Fraction(fwr);
-    cfg.battery = battery_hours > 0.0 ? &battery : nullptr;
-    const SimulationResult r = engine.run(cfg);
+    if (battery_hours > 0.0) {
+        cfg.chemistry = &lfp();
+        cfg.battery_capacity_mwh =
+            MegaWattHours(battery_hours * load.mean());
+    }
+    const SimulationResult r = random_supply.run(load, cfg);
 
     // 1. Capacity cap respected everywhere.
     EXPECT_LE(r.peak_power_mw.value(),
@@ -115,19 +154,16 @@ TEST_P(EngineProperty, BatteryNeverHurtsCoverage)
     const auto [seed, fwr, battery_hours] = GetParam();
     Rng rng(seed + 99);
     const TimeSeries load = randomLoad(rng);
-    const TimeSeries supply = randomSupply(rng);
-    const SimulationEngine engine(load, supply);
+    const RandomSupply random_supply(rng);
 
-    SimulationConfig cfg;
-    cfg.capacity_cap_mw = MegaWatts(load.max() * 1.4);
+    BatchLaneConfig cfg = random_supply.laneFor(load.max() * 1.4);
     cfg.flexible_ratio = Fraction(fwr);
-    const double cov_plain = engine.run(cfg).coverage_pct;
+    const double cov_plain = random_supply.run(load, cfg).coverage_pct;
 
-    ClcBattery battery(
-        MegaWattHours(std::max(battery_hours, 1.0) * load.mean()),
-                       BatteryChemistry::lithiumIronPhosphate());
-    cfg.battery = &battery;
-    const double cov_batt = engine.run(cfg).coverage_pct;
+    cfg.chemistry = &lfp();
+    cfg.battery_capacity_mwh =
+        MegaWattHours(std::max(battery_hours, 1.0) * load.mean());
+    const double cov_batt = random_supply.run(load, cfg).coverage_pct;
     EXPECT_GE(cov_batt, cov_plain - 1e-6);
 }
 
@@ -141,17 +177,13 @@ TEST(EngineDeterminism, SameInputsSameOutputs)
 {
     Rng rng(7);
     const TimeSeries load = randomLoad(rng);
-    const TimeSeries supply = randomSupply(rng);
-    const SimulationEngine engine(load, supply);
-    ClcBattery b1(MegaWattHours(100.0), BatteryChemistry::lithiumIronPhosphate());
-    ClcBattery b2(MegaWattHours(100.0), BatteryChemistry::lithiumIronPhosphate());
-    SimulationConfig cfg;
-    cfg.capacity_cap_mw = MegaWatts(load.max() * 1.5);
+    const RandomSupply random_supply(rng);
+    BatchLaneConfig cfg = random_supply.laneFor(load.max() * 1.5);
     cfg.flexible_ratio = Fraction(0.4);
-    cfg.battery = &b1;
-    const SimulationResult a = engine.run(cfg);
-    cfg.battery = &b2;
-    const SimulationResult b = engine.run(cfg);
+    cfg.chemistry = &lfp();
+    cfg.battery_capacity_mwh = MegaWattHours(100.0);
+    const SimulationResult a = random_supply.run(load, cfg);
+    const SimulationResult b = random_supply.run(load, cfg);
     EXPECT_DOUBLE_EQ(a.grid_energy_mwh.value(), b.grid_energy_mwh.value());
     EXPECT_DOUBLE_EQ(a.coverage_pct, b.coverage_pct);
     for (size_t h = 0; h < load.size(); h += 301)

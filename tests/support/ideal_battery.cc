@@ -20,7 +20,6 @@ IdealBattery::stateOfCharge() const
                         : 0.0);
 }
 
-// carbonx-hot: called once per simulated hour by every engine.
 MegaWatts
 IdealBattery::charge(MegaWatts offered_power, Hours dt)
 {
@@ -34,7 +33,6 @@ IdealBattery::charge(MegaWatts offered_power, Hours dt)
     return accepted;
 }
 
-// carbonx-hot: called once per simulated hour by every engine.
 MegaWatts
 IdealBattery::discharge(MegaWatts requested_power, Hours dt)
 {

@@ -1,12 +1,12 @@
 /**
  * @file
- * Lossless, rate-unlimited battery. Serves as the upper-bound baseline
- * when quantifying how much the C/L/C model's physical limits matter,
- * and as a simple reference implementation of the BatteryModel API.
+ * Lossless, rate-unlimited battery: a simple second implementation of
+ * the BatteryModel API, used by the battery tests as the upper bound
+ * the C/L/C model must never beat and by the scalar oracle tests.
  */
 
-#ifndef CARBONX_BATTERY_IDEAL_BATTERY_H
-#define CARBONX_BATTERY_IDEAL_BATTERY_H
+#ifndef CARBONX_TESTS_SUPPORT_IDEAL_BATTERY_H
+#define CARBONX_TESTS_SUPPORT_IDEAL_BATTERY_H
 
 #include "battery/battery_model.h"
 
@@ -47,4 +47,4 @@ class IdealBattery : public BatteryModel
 
 } // namespace carbonx
 
-#endif // CARBONX_BATTERY_IDEAL_BATTERY_H
+#endif // CARBONX_TESTS_SUPPORT_IDEAL_BATTERY_H

@@ -2,8 +2,8 @@
  * @file
  * hot-path-alloc: the static twin of the counting-operator-new tests.
  *
- * The warm sweep hot path (SimulationEngine::run, the batched SoA
- * kernel, the per-wave batch fill) is engineered to be allocation
+ * The warm sweep hot path (the batched SoA simulation kernel and the
+ * per-wave batch fill) is engineered to be allocation
  * free: every vector is reserved up front and reused, and a single
  * stray allocation per design point multiplies into millions per
  * sweep. The runtime tests catch that after the fact; this rule
