@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <limits>
 #include <utility>
 
@@ -91,6 +92,66 @@ namespace
 /** Axis indices of one lattice point. */
 using LatticeIdx = std::array<size_t, 4>;
 
+/**
+ * Safety margin subtracted from a point's interpolated estimate, as a
+ * multiple of the owning cell's corner spread. Larger values evaluate
+ * more points; the audit doubles the effective margins whenever a
+ * simulated point proves them optimistic.
+ */
+constexpr double kMarginScale = 0.1;
+
+/**
+ * Margin floor as a fraction of the global coarse-pass spread, so
+ * cells whose corners happen to agree still keep a safety band.
+ */
+constexpr double kMarginFloorRel = 0.01;
+
+/**
+ * Cells refined per wave. Fixed (never derived from the thread count)
+ * so the refinement trajectory — and with it the set of evaluated
+ * points — is bit-identical at any thread count.
+ */
+constexpr size_t kCellsPerWave = 8;
+
+/**
+ * The zoom step between refinement passes: each axis of @p cur is
+ * narrowed to [best - step, best + step] (one current step in every
+ * direction), clamped to @p orig's bounds, keeping the sample counts.
+ */
+DesignSpace
+zoomedSpace(const DesignSpace &orig, const DesignSpace &cur,
+            const DesignPoint &best)
+{
+    auto zoom = [](const AxisSpec &o, const AxisSpec &c, double b) {
+        AxisSpec next = c;
+        const double step = c.steps > 1
+            ? (c.max - c.min) / static_cast<double>(c.steps - 1)
+            : 0.0;
+        next.min = std::max(o.min, b - step);
+        next.max = std::min(o.max, b + step);
+        if (next.max <= next.min)
+            next.steps = 1;
+        return next;
+    };
+    DesignSpace out = cur;
+    out.solar_mw =
+        zoom(orig.solar_mw, cur.solar_mw, best.solar_mw.value());
+    out.wind_mw = zoom(orig.wind_mw, cur.wind_mw, best.wind_mw.value());
+    out.battery_mwh = zoom(orig.battery_mwh, cur.battery_mwh,
+                           best.battery_mwh.value());
+    out.extra_capacity = zoom(orig.extra_capacity, cur.extra_capacity,
+                              best.extra_capacity.value());
+    return out;
+}
+
+/** Runs a callable when its scope ends, by return or by unwind. */
+template <class Fn>
+struct OnScopeExit
+{
+    Fn fn;
+    ~OnScopeExit() { fn(); }
+};
+
 /** Coarse index list of one axis: 0, stride, 2*stride, ..., last. */
 std::vector<size_t>
 coarseIndices(size_t n, size_t stride)
@@ -135,12 +196,7 @@ AdaptiveSweeper::AdaptiveSweeper(const CarbonExplorer &explorer,
     : explorer_(explorer), options_(options)
 {
     require(options_.coarse_stride >= 1,
-            "adaptive sweep coarse stride must be >= 1");
-    require(options_.cells_per_wave >= 1,
-            "adaptive sweep cells per wave must be >= 1");
-    require(options_.margin_scale >= 0.0 &&
-                options_.margin_floor_rel >= 0.0,
-            "adaptive sweep margins must be >= 0");
+            "sweep coarse stride must be >= 1");
 }
 
 AdaptiveSweepResult
@@ -154,13 +210,12 @@ AdaptiveSweeper::sweepRefined(const DesignSpace &space,
                               Strategy strategy, int rounds) const
 {
     require(rounds >= 0, "refinement rounds must be >= 0");
-    CARBONX_SPAN("explorer/adaptive_sweep_refined");
+    CARBONX_SPAN("explorer/optimize_refined");
     AdaptiveSweepResult result = sweepPass(space, strategy, 0);
 
     DesignSpace current = space;
     for (int round = 0; round < rounds; ++round) {
-        current = CarbonExplorer::zoomedSpace(space, current,
-                                              result.result.best.point);
+        current = zoomedSpace(space, current, result.result.best.point);
         AdaptiveSweepResult pass =
             sweepPass(current, strategy, round + 1);
         obs::counter("explorer.refine_rounds").increment();
@@ -189,20 +244,22 @@ AdaptiveSweepResult
 AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
                            int pass) const
 {
-    CARBONX_SPAN("explorer/adaptive_sweep");
-    CARBONX_PROFILE("adaptive/pass");
-    static auto &c_sweeps = obs::counter("sweep.adaptive_passes");
+    CARBONX_SPAN("explorer/optimize");
+    CARBONX_PROFILE("sweep/pass");
+    static auto &c_passes = obs::counter("explorer.optimize_passes");
     static auto &c_skipped = obs::counter("sweep.points_skipped");
     static auto &c_refined = obs::counter("sweep.cells_refined");
     static auto &c_excluded = obs::counter("sweep.cells_excluded");
     static auto &c_inflated = obs::counter("sweep.margin_inflations");
-    c_sweeps.increment();
+    static auto &g_threads = obs::gauge("sweep.threads");
+    static auto &g_pps = obs::gauge("sweep.points_per_sec");
+    c_passes.increment();
     obs::DecisionJournal *journal = explorer_.journal();
     if (explorer_.runStatus() != nullptr)
-        explorer_.runStatus()->setPhase("adaptive sweep");
+        explorer_.runStatus()->setPhase("sweep");
 
-    // The same lattice the exhaustive pass enumerates, in the same
-    // linear order: axes a strategy ignores collapse to {0}.
+    // The lattice in (solar, wind, battery, extra) linear order: axes
+    // a strategy ignores collapse to {0}.
     const std::array<std::vector<double>, 4> axes = {
         space.solar_mw.samples(), space.wind_mw.samples(),
         strategyUsesBattery(strategy) ? space.battery_mwh.samples()
@@ -213,7 +270,7 @@ AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
         axes[0].size(), axes[1].size(), axes[2].size(),
         axes[3].size()};
     const size_t total = dims[0] * dims[1] * dims[2] * dims[3];
-    ensure(total > 0, "adaptive sweep has no design points");
+    ensure(total > 0, "sweep has no design points");
 
     const auto linearIndex = [&dims](const LatticeIdx &idx) {
         return ((idx[0] * dims[1] + idx[1]) * dims[2] + idx[2]) *
@@ -241,6 +298,26 @@ AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
     std::vector<Evaluation> evals(total);
 
     SweepBatchEvaluator evaluator(explorer_, strategy);
+    // Effective parallelism: the evaluator shards lane waves over the
+    // workers, so a lattice of fewer waves leaves workers idle.
+    const size_t lattice_waves =
+        (total + SweepBatchEvaluator::kLanesPerWave - 1) /
+        SweepBatchEvaluator::kLanesPerWave;
+    g_threads.set(static_cast<double>(
+        std::min(std::max<size_t>(threadCount(), 1), lattice_waves)));
+
+    // Throughput over every point the pass evaluated, recorded on
+    // every exit — the SweepAborted unwind too, since the aborting
+    // batch was evaluated and checkpointed before the throw.
+    const auto sweep_start = std::chrono::steady_clock::now();
+    const OnScopeExit record_throughput{[&] {
+        const std::chrono::duration<double> elapsed =
+            std::chrono::steady_clock::now() - sweep_start;
+        const size_t done =
+            evaluator.simulatedPoints() + evaluator.cacheHits();
+        if (elapsed.count() > 0.0 && done > 0)
+            g_pps.set(static_cast<double>(done) / elapsed.count());
+    }};
 
     // Coarse sub-lattice.
     std::array<std::vector<size_t>, 4> coarse;
@@ -256,9 +333,9 @@ AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
                     coarse_points.push_back(
                         linearIndex(LatticeIdx{i0, i1, i2, i3}));
 
-    // Progress covers the whole adaptive run as one pass; the total
-    // starts at the coarse count and grows as refinement discovers
-    // work (obs::SweepProgressEmitter::growTotal).
+    // Progress covers the whole pass; the total starts at the coarse
+    // count and grows as refinement discovers work
+    // (obs::SweepProgressEmitter::growTotal).
     obs::SweepProgressEmitter emitter(explorer_.progressCallback(),
                                       pass, coarse_points.size(),
                                       explorer_.progressUpdates());
@@ -266,7 +343,9 @@ AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
     // Evaluate a sorted, unevaluated index list; scatter into evals.
     // @p ann, when non-null, annotates the journal rows of this wave
     // (one entry per id, in id order) with the triage verdict and the
-    // prediction the decision was based on.
+    // prediction the decision was based on. A list of the whole
+    // lattice (the stride-1 coarse pass) is 0..total-1, so it is
+    // evaluated straight into evals with no scatter copy.
     std::vector<DesignPoint> wave_points;
     std::vector<Evaluation> wave_out;
     const auto evaluateIndices =
@@ -274,21 +353,64 @@ AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
             const SweepBatchEvaluator::PointAnnotation *ann) {
             if (ids.empty())
                 return;
+            const bool whole = ids.size() == total;
             wave_points.clear();
             wave_points.reserve(ids.size());
             for (const size_t li : ids)
                 wave_points.push_back(pointAt(latticeIdxOf(li)));
-            wave_out.resize(ids.size());
+            if (!whole)
+                wave_out.resize(ids.size());
             if (ann != nullptr)
                 evaluator.setPointAnnotations(ann);
             evaluator.evaluate(wave_points.data(), wave_points.size(),
-                               wave_out.data(), &emitter);
+                               whole ? evals.data() : wave_out.data(),
+                               &emitter);
             for (size_t k = 0; k < ids.size(); ++k) {
-                evals[ids[k]] = std::move(wave_out[k]);
+                if (!whole)
+                    evals[ids[k]] = std::move(wave_out[k]);
                 evaluated[ids[k]] = 1;
             }
         };
+
+    // Assemble the result in lattice linear order, restricted to the
+    // evaluated subset. The strict < scan reproduces the exhaustive
+    // tie-break (among equal totals the first in lattice order wins):
+    // every skipped point is strictly worse than the best total, so
+    // no skipped point could have won or tied.
+    AdaptiveSweepStats stats;
+    const auto finish = [&]() {
+        emitter.finish();
+        // Compact evals in place: the result takes over its storage.
+        size_t kept = 0;
+        for (size_t li = 0; li < total; ++li) {
+            if (evaluated[li] != 0)
+                evals[kept++] = evals[li];
+        }
+        evals.resize(kept);
+        AdaptiveSweepResult out;
+        out.result.evaluated = std::move(evals);
+        out.result.best = out.result.evaluated.front();
+        for (const Evaluation &ev : out.result.evaluated) {
+            if (ev.totalKg() < out.result.best.totalKg())
+                out.result.best = ev;
+        }
+
+        stats.lattice_points = total;
+        stats.simulated_points = evaluator.simulatedPoints();
+        stats.cache_hits = evaluator.cacheHits();
+        stats.points_skipped = total - out.result.evaluated.size();
+        c_skipped.increment(stats.points_skipped);
+        c_refined.increment(stats.cells_refined);
+        c_excluded.increment(stats.cells_excluded);
+        out.stats = stats;
+        return out;
+    };
+
     evaluateIndices(coarse_points, nullptr);
+    // Exhaustive mode (stride 1): the coarse pass was the whole
+    // lattice, so there are no cells to build and nothing to triage.
+    if (coarse_points.size() == total)
+        return finish();
 
     // Global objective spreads over the coarse pass anchor the margin
     // floors; frozen here so margins evolve only through the audit's
@@ -375,7 +497,7 @@ AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
                     b.spread_operational = max_o - b.min_operational;
                     pending.push_back(cell);
                 }
-    const size_t cells_total = pending.size();
+    stats.cells_total = pending.size();
 
     // Strict-domination query structure over the evaluated points'
     // (embodied, operational) pairs: sorted by embodied with a prefix
@@ -478,8 +600,6 @@ AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
         const double t_hat = p.e_hat + p.o_hat;
         if (!(t_hat - inflation * p.m_t > best_total))
             return false;
-        if (!options_.preserve_pareto_front)
-            return true;
         return strictlyDominated(p.e_hat - inflation * p.m_e,
                                  p.o_hat - inflation * p.m_o);
     };
@@ -541,22 +661,21 @@ AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
         const CellBounds &b = cell.bounds;
         p->e_hat = e_hat;
         p->o_hat = o_hat;
-        p->m_t = options_.margin_scale * b.spread_total +
-            options_.margin_floor_rel * global_spread_total;
-        p->m_e = options_.margin_scale * b.spread_embodied +
-            options_.margin_floor_rel * global_spread_embodied;
-        p->m_o = options_.margin_scale * b.spread_operational +
-            options_.margin_floor_rel * global_spread_operational;
+        p->m_t = kMarginScale * b.spread_total +
+            kMarginFloorRel * global_spread_total;
+        p->m_e = kMarginScale * b.spread_embodied +
+            kMarginFloorRel * global_spread_embodied;
+        p->m_o = kMarginScale * b.spread_operational +
+            kMarginFloorRel * global_spread_operational;
     };
 
-    AdaptiveSweepStats stats;
     std::vector<size_t> wave_ids;
     std::vector<size_t> revived;
     const auto cellLowerBound = [&](const Cell &cell) {
         return cell.bounds.min_total -
             inflation *
-                (options_.margin_scale * cell.bounds.spread_total +
-                 options_.margin_floor_rel * global_spread_total);
+                (kMarginScale * cell.bounds.spread_total +
+                 kMarginFloorRel * global_spread_total);
     };
     while (!pending.empty()) {
         // Most promising cells first: lowest margin-padded corner
@@ -572,7 +691,7 @@ AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
                       return a.order_key < b.order_key;
                   });
         const size_t take =
-            std::min(options_.cells_per_wave, pending.size());
+            std::min(kCellsPerWave, pending.size());
         std::vector<Cell> wave(pending.begin(),
                                pending.begin() +
                                    static_cast<ptrdiff_t>(take));
@@ -668,37 +787,7 @@ AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
             suspects = revived;
         }
     }
-    emitter.finish();
-
-    // Assemble the result in lattice linear order — the exhaustive
-    // sweep's evaluation order restricted to the evaluated subset.
-    // The strict < scan then reproduces the exhaustive tie-break:
-    // every skipped point is strictly worse than best_total, so no
-    // skipped point could have won or tied.
-    AdaptiveSweepResult out;
-    out.result.evaluated.reserve(total);
-    for (size_t li = 0; li < total; ++li) {
-        if (evaluated[li] != 0)
-            out.result.evaluated.push_back(std::move(evals[li]));
-    }
-    ensure(!out.result.evaluated.empty(),
-           "adaptive sweep evaluated no design points");
-    out.result.best = out.result.evaluated.front();
-    for (const Evaluation &ev : out.result.evaluated) {
-        if (ev.totalKg() < out.result.best.totalKg())
-            out.result.best = ev;
-    }
-
-    stats.lattice_points = total;
-    stats.simulated_points = evaluator.simulatedPoints();
-    stats.cache_hits = evaluator.cacheHits();
-    stats.points_skipped = total - out.result.evaluated.size();
-    stats.cells_total = cells_total;
-    c_skipped.increment(stats.points_skipped);
-    c_refined.increment(stats.cells_refined);
-    c_excluded.increment(stats.cells_excluded);
-    out.stats = stats;
-
+    AdaptiveSweepResult out = finish();
     inform("adaptive sweep: " + std::to_string(stats.simulated_points) +
            " simulated, " + std::to_string(stats.cache_hits) +
            " cache hits, " + std::to_string(stats.points_skipped) +

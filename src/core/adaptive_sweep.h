@@ -1,29 +1,30 @@
 /**
  * @file
- * Adaptive multi-resolution sweep driver and the typed sweep result
- * cache.
+ * The design-space sweep driver and the typed sweep result cache.
  *
- * The exhaustive search of CarbonExplorer::optimize simulates every
- * lattice point of the design space, yet on realistic spaces the
- * carbon surface is smooth: most of the lattice lies far above the
- * optimum and far inside the Pareto-dominated region. AdaptiveSweeper
- * exploits that: it evaluates a coarse sub-lattice, ranks the cells
- * between coarse points by how close their corners come to the best
- * total seen, and refines the promising cells first. Within a cell,
- * each lattice point gets a multilinear interpolation of the corner
- * evaluations; points whose margin-padded estimates are provably
- * irrelevant (strictly worse than the best so far, and strictly
- * dominated when the frontier is preserved) are skipped, the rest
+ * AdaptiveSweeper is the one driver behind every sweep: the exhaustive
+ * search of the paper's Carbon Explorer (CarbonExplorer::optimize) is
+ * this driver at coarse stride 1, which evaluates every lattice point
+ * in its coarse pass and triages nothing. At larger strides it
+ * exploits the smoothness of the carbon surface, on which most of the
+ * lattice lies far above the optimum and far inside the
+ * Pareto-dominated region: it evaluates a coarse sub-lattice, ranks
+ * the cells between coarse points by how close their corners come to
+ * the best total seen, and refines the promising cells first. Within
+ * a cell, each lattice point gets a multilinear interpolation of the
+ * corner evaluations; points whose margin-padded estimates are
+ * provably irrelevant (strictly worse than the best so far, and
+ * strictly dominated on the Pareto frontier) are skipped, the rest
  * are simulated. A bound audit checks every simulated point against
  * its own prediction and inflates the safety margins (re-testing
  * every previously skipped point) whenever they prove optimistic —
  * so the returned best point, best total, and Pareto frontier are
- * bit-identical to the exhaustive sweep while simulating a fraction
- * of the lattice.
+ * bit-identical to exhaustive mode while simulating a fraction of
+ * the lattice.
  *
  * SweepResultCache wraps the generic on-disk ResultCache
  * (common/result_cache.h) with the Evaluation payload codec, giving
- * every sweep driver checkpoint/resume and cross-run reuse keyed by
+ * every sweep checkpoint/resume and cross-run reuse keyed by
  * CarbonExplorer::configDigest.
  */
 
@@ -98,52 +99,30 @@ class SweepResultCache
     ResultCache cache_;
 };
 
-/** Tuning knobs of the adaptive driver. Defaults favor safety. */
+/**
+ * The one setting of the sweep driver. The triage margins and the
+ * refinement wave width are fixed constants of the driver
+ * (adaptive_sweep.cc), so every run of a given stride makes the same
+ * decisions.
+ */
 struct AdaptiveSweepOptions
 {
     /**
      * Coarse sub-lattice stride: every stride-th index of each axis
-     * (plus the last) is evaluated up front. 1 degenerates to the
-     * exhaustive sweep. 2 keeps the corner interpolation tight, which
-     * empirically skips the most points overall.
+     * (plus the last) is evaluated up front. 1 is exhaustive mode:
+     * the coarse pass is the whole lattice, nothing is triaged, and
+     * the driver returns right after it. 2 keeps the corner
+     * interpolation tight, which empirically skips the most points
+     * overall.
      */
     size_t coarse_stride = 2;
-
-    /**
-     * Safety margin subtracted from a point's interpolated estimate,
-     * as a multiple of the owning cell's corner spread. Larger values
-     * evaluate more points; the audit doubles the effective margins
-     * whenever a simulated point proves them optimistic.
-     */
-    double margin_scale = 0.1;
-
-    /**
-     * Margin floor as a fraction of the global coarse-pass spread, so
-     * cells whose corners happen to agree still keep a safety band.
-     */
-    double margin_floor_rel = 0.01;
-
-    /**
-     * Also protect the (embodied, operational) Pareto frontier: a
-     * point is only skipped when some evaluated point strictly
-     * dominates its margin-padded (embodied, operational) estimate,
-     * guaranteeing the frontier over the evaluated subset equals the
-     * frontier over the full lattice. Disabling skips more points but
-     * only the best point is then guaranteed. Note surfaces where the
-     * whole lattice is Pareto-optimal (e.g. a pure solar trade-off)
-     * legitimately evaluate every point in this mode.
-     */
-    bool preserve_pareto_front = true;
-
-    /**
-     * Cells refined per wave. Fixed (never derived from the thread
-     * count) so the refinement trajectory — and with it the set of
-     * evaluated points — is bit-identical at any thread count.
-     */
-    size_t cells_per_wave = 8;
 };
 
-/** Work accounting of one adaptive sweep. */
+/**
+ * Work accounting of one sweep. In exhaustive mode (stride 1) nothing
+ * is skipped and no cells are built, so only lattice_points,
+ * simulated_points and cache_hits are non-zero.
+ */
 struct AdaptiveSweepStats
 {
     size_t lattice_points = 0;   ///< Full-resolution lattice size.
@@ -154,36 +133,28 @@ struct AdaptiveSweepStats
     size_t cells_refined = 0;    ///< Cells scanned to full resolution.
     size_t cells_excluded = 0;   ///< Cells proven not to matter.
     size_t margin_inflations = 0; ///< Audit-triggered margin doublings.
-
-    /** Points evaluated (simulated or cached) / lattice points. */
-    double evaluatedFraction() const
-    {
-        return lattice_points > 0
-            ? 1.0 - static_cast<double>(points_skipped) /
-                    static_cast<double>(lattice_points)
-            : 0.0;
-    }
 };
 
 /** Outcome of AdaptiveSweeper::sweep. */
 struct AdaptiveSweepResult
 {
     /**
-     * best is bit-identical to the exhaustive optimize() best;
-     * evaluated holds only the points actually evaluated, in the same
-     * lattice order the exhaustive sweep would list them, so
-     * paretoSet() equals the exhaustive frontier when
-     * preserve_pareto_front is on.
+     * best is bit-identical to the exhaustive-mode best; evaluated
+     * holds only the points actually evaluated, in lattice order (all
+     * of them at stride 1), so paretoSet() equals the frontier of the
+     * full lattice.
      */
     OptimizationResult result;
     AdaptiveSweepStats stats;
 };
 
 /**
- * The coarse-to-fine driver. Borrow an explorer (whose sweep cache
- * and progress callback are honored) and call sweep() per strategy.
+ * The coarse-to-fine sweep driver. Borrow an explorer (whose sweep
+ * cache, journal, run status, abort hook and progress callback are
+ * honored) and call sweep() or sweepRefined() per strategy.
  *
- * Algorithm: evaluate the coarse sub-lattice; partition the space
+ * Algorithm: evaluate the coarse sub-lattice (at stride 1 that is the
+ * whole lattice, and the sweep ends there); partition the space
  * into cells (hyper-rectangles between adjacent coarse indices);
  * repeatedly pop the most promising pending cells (lowest margin-
  * padded corner minimum first) and triage each interior point
@@ -210,20 +181,21 @@ class AdaptiveSweeper
                              AdaptiveSweepOptions options = {});
 
     /**
-     * Run the adaptive search over @p space. Throws SweepAborted when
-     * the explorer's abort hook fires (progress is checkpointed to
-     * the attached cache first).
+     * Sweep @p space. Throws SweepAborted when the explorer's abort
+     * hook fires (progress is checkpointed to the attached cache
+     * first).
      */
     AdaptiveSweepResult sweep(const DesignSpace &space,
                               Strategy strategy) const;
 
     /**
-     * Adaptive counterpart of CarbonExplorer::optimizeRefined: the
-     * adaptive sweep above followed by @p rounds of zoom refinement
-     * (CarbonExplorer::zoomedSpace) with each zoomed pass swept
-     * adaptively too. Every pass's best is bit-identical to its
-     * exhaustive twin, so the zoom trajectory — and the final best —
-     * matches optimizeRefined exactly. Stats are summed over passes.
+     * sweep() followed by @p rounds of zoom refinement: after each
+     * pass every axis is narrowed to one current step either side of
+     * the best point (clamped to @p space's bounds, sample counts
+     * kept) and swept again. Each pass's best is bit-identical to its
+     * exhaustive-mode twin, so the zoom trajectory — and the final
+     * best — is the same at any stride. The evaluated set is the
+     * union of all passes; stats are summed over passes.
      */
     AdaptiveSweepResult sweepRefined(const DesignSpace &space,
                                      Strategy strategy,

@@ -377,19 +377,27 @@ CarbonExplorer::explain(const DesignPoint &point, Strategy strategy) const
 OptimizationResult
 CarbonExplorer::optimize(const DesignSpace &space, Strategy strategy) const
 {
-    return optimizePass(space, strategy, 0);
+    return AdaptiveSweeper(*this, {1}).sweep(space, strategy).result;
+}
+
+OptimizationResult
+CarbonExplorer::optimizeRefined(const DesignSpace &space,
+                                Strategy strategy, int rounds) const
+{
+    return AdaptiveSweeper(*this, {1})
+        .sweepRefined(space, strategy, rounds)
+        .result;
 }
 
 namespace
 {
 
 /**
- * Per-worker batch capacity: lanes per batched engine pass. Large
- * enough to amortize one traversal of the hourly trace (and its
- * cache traffic) over many design points, small enough that a wave
- * still splits into several blocks for the thread pool to balance.
+ * Lane waves each worker runs between two checkpoints. Enough that
+ * the flush is noise next to the simulation it persists, few enough
+ * that a kill loses seconds of work, not the sweep.
  */
-constexpr size_t kSweepBatchLanes = 64;
+constexpr size_t kCheckpointWavesPerWorker = 4;
 
 /** Journal point id of @p point (same bytes as the cache key). */
 uint64_t
@@ -409,7 +417,7 @@ constexpr double kJournalNan = std::numeric_limits<double>::quiet_NaN();
  */
 struct SweepWorkspace
 {
-    SimulationBatch batch{kSweepBatchLanes};
+    SimulationBatch batch{SweepBatchEvaluator::kLanesPerWave};
 };
 
 } // namespace
@@ -499,90 +507,106 @@ SweepBatchEvaluator::evaluate(const DesignPoint *points, size_t count,
     // miss order and out-slots are fixed, so the merged results are
     // bit-identical at any thread count.
     static auto &g_batch = obs::gauge("sweep.batch_size");
-    g_batch.set(static_cast<double>(kSweepBatchLanes));
+    g_batch.set(static_cast<double>(kLanesPerWave));
+
+    // Annotations cover exactly one evaluate() call.
+    const PointAnnotation *annotations = annotations_;
+    annotations_ = nullptr;
 
     const CarbonExplorer &ex = explorer_;
     std::vector<SweepWorkspace> &workspaces = workspaces_->per_worker;
     const BatchedSimulationEngine &engine = workspaces_->engine;
-    const size_t waves =
-        (misses.size() + kSweepBatchLanes - 1) / kSweepBatchLanes;
-    // Wave ids are claimed from the journal before the parallel
-    // region launches: the journal's counter spans the whole run, so
-    // ids stay unique even though every optimize pass constructs a
-    // fresh evaluator.
-    const uint32_t wave_base = journal != nullptr
-        ? journal->claimWaves(static_cast<uint32_t>(waves))
-        : 0;
-    parallelFor(0, waves, 1, [&](size_t wave, size_t worker) {
-        CARBONX_PROFILE("sweep/run_group");
-        SweepWorkspace &ws = workspaces[worker];
-        const size_t i0 = wave * kSweepBatchLanes;
-        const size_t i1 =
-            std::min(misses.size(), i0 + kSweepBatchLanes);
-        const auto run_start = std::chrono::steady_clock::now();
-        {
-            CARBONX_PROFILE("sweep/batch_fill");
-            ws.batch.clear();
-            for (size_t i = i0; i < i1; ++i)
-                ws.batch.addLane(
-                    ex.laneConfig(points[misses[i]], strategy_));
-        }
-        engine.run(ws.batch);
-        // One timestamp per wave keeps journaling off the per-point
-        // path; rows go into this worker's private sink, so no other
-        // worker ever touches the same buffer.
-        const uint64_t wave_ts =
-            journal != nullptr ? journal->nowUs() : 0;
-        for (size_t i = i0; i < i1; ++i) {
-            const size_t idx = misses[i];
-            out[idx] = ex.evaluationFrom(points[idx], strategy_,
-                                         ws.batch.result(i - i0));
-            if (journal != nullptr) {
-                const PointAnnotation *ann = annotations_ != nullptr
-                    ? &annotations_[idx]
-                    : nullptr;
-                obs::DecisionRow row;
-                row.point_id = journalPointId(points[idx]);
-                row.wave =
-                    wave_base + static_cast<uint32_t>(wave);
-                row.worker = static_cast<uint16_t>(worker);
-                row.lane = static_cast<uint16_t>(i - i0);
-                row.verdict = ann != nullptr
-                    ? ann->verdict
-                    : obs::DecisionVerdict::Evaluated;
-                row.predicted_kg =
-                    ann != nullptr ? ann->predicted_kg : kJournalNan;
-                row.actual_kg = out[idx].totalKg().value();
-                row.margin_kg =
-                    ann != nullptr ? ann->margin_kg : kJournalNan;
-                row.ts_us = wave_ts;
-                journal->sink(worker).record(row);
+    // Misses run in checkpoint intervals, so the work a kill can lose
+    // is bounded however many points the caller passes; the last (or
+    // only, when everything hit the cache) interval ends the call.
+    const size_t interval = checkpointInterval();
+    size_t m0 = 0;
+    do {
+        const size_t m1 = std::min(misses.size(), m0 + interval);
+        const size_t waves =
+            (m1 - m0 + kLanesPerWave - 1) / kLanesPerWave;
+        // Wave ids are claimed from the journal before the parallel
+        // region launches: the journal's counter spans the whole run,
+        // so ids stay unique even though every sweep pass constructs
+        // a fresh evaluator.
+        const uint32_t wave_base = journal != nullptr
+            ? journal->claimWaves(static_cast<uint32_t>(waves))
+            : 0;
+        parallelFor(0, waves, 1, [&](size_t wave, size_t worker) {
+            CARBONX_PROFILE("sweep/run_group");
+            SweepWorkspace &ws = workspaces[worker];
+            const size_t i0 = m0 + wave * kLanesPerWave;
+            const size_t i1 = std::min(m1, i0 + kLanesPerWave);
+            const auto run_start = std::chrono::steady_clock::now();
+            {
+                CARBONX_PROFILE("sweep/batch_fill");
+                ws.batch.clear();
+                for (size_t i = i0; i < i1; ++i)
+                    ws.batch.addLane(
+                        ex.laneConfig(points[misses[i]], strategy_));
             }
-            if (emitter != nullptr)
-                emitter->add(out[idx].totalKg().value());
+            engine.run(ws.batch);
+            // One timestamp per wave keeps journaling off the
+            // per-point path; rows go into this worker's private
+            // sink, so no other worker ever touches the same buffer.
+            const uint64_t wave_ts =
+                journal != nullptr ? journal->nowUs() : 0;
+            for (size_t i = i0; i < i1; ++i) {
+                const size_t idx = misses[i];
+                out[idx] = ex.evaluationFrom(points[idx], strategy_,
+                                             ws.batch.result(i - i0));
+                if (journal != nullptr) {
+                    const PointAnnotation *ann = annotations != nullptr
+                        ? &annotations[idx]
+                        : nullptr;
+                    obs::DecisionRow row;
+                    row.point_id = journalPointId(points[idx]);
+                    row.wave =
+                        wave_base + static_cast<uint32_t>(wave);
+                    row.worker = static_cast<uint16_t>(worker);
+                    row.lane = static_cast<uint16_t>(i - i0);
+                    row.verdict = ann != nullptr
+                        ? ann->verdict
+                        : obs::DecisionVerdict::Evaluated;
+                    row.predicted_kg = ann != nullptr ? ann->predicted_kg
+                                                      : kJournalNan;
+                    row.actual_kg = out[idx].totalKg().value();
+                    row.margin_kg =
+                        ann != nullptr ? ann->margin_kg : kJournalNan;
+                    row.ts_us = wave_ts;
+                    journal->sink(worker).record(row);
+                }
+                if (emitter != nullptr)
+                    emitter->add(out[idx].totalKg().value());
+            }
+            if (status != nullptr)
+                status->noteWave(worker, i1 - i0);
+            // Point latency is sampled once per wave (mean over its
+            // lanes) — one clock read and one histogram lock instead
+            // of one per design point.
+            const std::chrono::duration<double, std::micro> run_us =
+                std::chrono::steady_clock::now() - run_start;
+            h_point.record(run_us.count() /
+                           static_cast<double>(i1 - i0));
+            c_points.increment(i1 - i0);
+        });
+
+        simulated_points_ += m1 - m0;
+        ex.fresh_simulated_points_ += m1 - m0;
+        if (cache != nullptr) {
+            for (size_t i = m0; i < m1; ++i)
+                cache->insert(out[misses[i]]);
         }
-        if (status != nullptr)
-            status->noteWave(worker, i1 - i0);
-        // Point latency is sampled once per wave (mean over its
-        // lanes) — one clock read and one histogram lock instead of
-        // one per design point.
-        const std::chrono::duration<double, std::micro> run_us =
-            std::chrono::steady_clock::now() - run_start;
-        h_point.record(run_us.count() /
-                       static_cast<double>(i1 - i0));
-        c_points.increment(i1 - i0);
-    });
+        checkpoint();
+        m0 = m1;
+    } while (m0 < misses.size());
+}
 
-    // Annotations cover exactly one evaluate() call.
-    annotations_ = nullptr;
-
-    simulated_points_ += misses.size();
-    ex.fresh_simulated_points_ += misses.size();
-    if (cache != nullptr) {
-        for (const size_t idx : misses)
-            cache->insert(out[idx]);
-    }
-    checkpoint();
+size_t
+SweepBatchEvaluator::checkpointInterval() const
+{
+    return kLanesPerWave * kCheckpointWavesPerWorker *
+        workspaces_->per_worker.size();
 }
 
 void
@@ -605,115 +629,6 @@ SweepBatchEvaluator::checkpoint()
     }
 }
 
-OptimizationResult
-CarbonExplorer::optimizePass(const DesignSpace &space, Strategy strategy,
-                             int pass) const
-{
-    CARBONX_SPAN("explorer/optimize");
-    CARBONX_PROFILE("sweep/pass");
-    static auto &c_passes = obs::counter("explorer.optimize_passes");
-    static auto &g_threads = obs::gauge("sweep.threads");
-    static auto &g_pps = obs::gauge("sweep.points_per_sec");
-    c_passes.increment();
-    if (run_status_ != nullptr)
-        run_status_->setPhase("exhaustive sweep");
-
-    const std::vector<double> solars = space.solar_mw.samples();
-    const std::vector<double> winds = space.wind_mw.samples();
-    const std::vector<double> batteries = strategyUsesBattery(strategy)
-        ? space.battery_mwh.samples()
-        : std::vector<double>{0.0};
-    const std::vector<double> extras = strategyUsesCas(strategy)
-        ? space.extra_capacity.samples()
-        : std::vector<double>{0.0};
-
-    // The (solar, wind) outer product shards across the thread pool;
-    // each worker sweeps the battery/extra axes of its pairs locally.
-    // Workers write into pre-sized slots (pair index x inner size), so
-    // the merged `evaluated` ordering matches the serial quadruple
-    // loop exactly regardless of scheduling.
-    const size_t pairs = solars.size() * winds.size();
-    const size_t inner = batteries.size() * extras.size();
-    const size_t total = pairs * inner;
-    ensure(total > 0, "optimization evaluated no design points");
-
-    OptimizationResult result;
-    result.evaluated.resize(total);
-
-    std::vector<DesignPoint> points;
-    points.reserve(total);
-    for (const double s : solars) {
-        for (const double w : winds) {
-            for (const double b : batteries) {
-                for (const double x : extras) {
-                    points.push_back(DesignPoint{
-                        MegaWatts(s), MegaWatts(w), MegaWattHours(b),
-                        Fraction(x)});
-                }
-            }
-        }
-    }
-
-    const size_t worker_ids = std::max<size_t>(threadCount(), 1);
-    g_threads.set(static_cast<double>(
-        std::min(worker_ids, std::max<size_t>(pairs, 1))));
-
-    obs::SweepProgressEmitter emitter(progress_, pass, total,
-                                      progress_updates_);
-    const auto sweep_start = std::chrono::steady_clock::now();
-
-    // Pair-run batches bound the checkpoint interval: a kill loses at
-    // most one batch of fresh simulations, and the cache sees one
-    // flush per batch instead of one per sweep. Each batch hands the
-    // evaluator a whole wave of points, which it shards into SoA
-    // lane batches for the batched engine, so larger batches also
-    // mean fuller lanes per hourly-trace pass.
-    SweepBatchEvaluator evaluator(*this, strategy);
-    const size_t batch_pairs =
-        std::max<size_t>(64, 8 * worker_ids);
-    size_t points_done = 0;
-    try {
-        for (size_t p0 = 0; p0 < pairs; p0 += batch_pairs) {
-            const size_t p1 = std::min(pairs, p0 + batch_pairs);
-            // Counted up front: checkpoint() only aborts after the
-            // whole batch has been evaluated and flushed.
-            points_done = p1 * inner;
-            evaluator.evaluate(points.data() + p0 * inner,
-                               (p1 - p0) * inner,
-                               result.evaluated.data() + p0 * inner,
-                               &emitter);
-        }
-    } catch (const SweepAborted &) {
-        // The aborting batch finished evaluating before checkpoint()
-        // threw, so the partial throughput is still meaningful; record
-        // it instead of leaving sweep.points_per_sec at zero on the
-        // abort path.
-        const std::chrono::duration<double> aborted_s =
-            std::chrono::steady_clock::now() - sweep_start;
-        if (aborted_s.count() > 0.0 && points_done > 0) {
-            g_pps.set(static_cast<double>(points_done) /
-                      aborted_s.count());
-        }
-        throw;
-    }
-    emitter.finish();
-
-    // In-order scan with strict < reproduces the serial tie-break:
-    // among equal totals the first-evaluated point wins.
-    result.best = result.evaluated.front();
-    for (const Evaluation &eval : result.evaluated) {
-        if (eval.totalKg() < result.best.totalKg())
-            result.best = eval;
-    }
-
-    const std::chrono::duration<double> sweep_s =
-        std::chrono::steady_clock::now() - sweep_start;
-    if (sweep_s.count() > 0.0) {
-        g_pps.set(static_cast<double>(total) / sweep_s.count());
-    }
-    return result;
-}
-
 std::vector<Evaluation>
 OptimizationResult::paretoSet() const
 {
@@ -728,63 +643,6 @@ OptimizationResult::paretoSet() const
     for (const auto &p : paretoFrontier(points))
         out.push_back(evaluated[p.tag]);
     return out;
-}
-
-DesignSpace
-CarbonExplorer::zoomedSpace(const DesignSpace &orig,
-                            const DesignSpace &cur,
-                            const DesignPoint &best)
-{
-    // Zoom each axis onto [best - step, best + step], clamped to
-    // the original bounds; keep the sample counts.
-    auto zoom = [](const AxisSpec &o, const AxisSpec &c, double b) {
-        AxisSpec next = c;
-        const double step = c.steps > 1
-            ? (c.max - c.min) / static_cast<double>(c.steps - 1)
-            : 0.0;
-        next.min = std::max(o.min, b - step);
-        next.max = std::min(o.max, b + step);
-        if (next.max <= next.min)
-            next.steps = 1;
-        return next;
-    };
-    DesignSpace out = cur;
-    out.solar_mw =
-        zoom(orig.solar_mw, cur.solar_mw, best.solar_mw.value());
-    out.wind_mw = zoom(orig.wind_mw, cur.wind_mw, best.wind_mw.value());
-    out.battery_mwh = zoom(orig.battery_mwh, cur.battery_mwh,
-                           best.battery_mwh.value());
-    out.extra_capacity = zoom(orig.extra_capacity, cur.extra_capacity,
-                              best.extra_capacity.value());
-    return out;
-}
-
-OptimizationResult
-CarbonExplorer::optimizeRefined(const DesignSpace &space,
-                                Strategy strategy, int rounds) const
-{
-    require(rounds >= 0, "refinement rounds must be >= 0");
-    CARBONX_SPAN("explorer/optimize_refined");
-    OptimizationResult result = optimizePass(space, strategy, 0);
-
-    DesignSpace current = space;
-    for (int round = 0; round < rounds; ++round) {
-        current = zoomedSpace(space, current, result.best.point);
-
-        OptimizationResult pass =
-            optimizePass(current, strategy, round + 1);
-        obs::counter("explorer.refine_rounds").increment();
-        if (pass.best.totalKg() < result.best.totalKg()) {
-            inform("refinement round " + std::to_string(round + 1) +
-                   " improved best total carbon to " +
-                   formatFixed(pass.best.totalKg().value(), 0) +
-                   " kg");
-            result.best = pass.best;
-        }
-        for (auto &e : pass.evaluated)
-            result.evaluated.push_back(std::move(e));
-    }
-    return result;
 }
 
 MegaWattHours

@@ -10,6 +10,9 @@
  * Output: carbon-optimal renewable investment amounts, battery
  * capacity, and server capacity, found by exhaustively minimizing
  * operational + embodied carbon over a user-bounded design space.
+ * The search itself runs on the one sweep driver, AdaptiveSweeper
+ * (core/adaptive_sweep.h): optimize() and optimizeRefined() are that
+ * driver at coarse stride 1, which evaluates every lattice point.
  */
 
 #ifndef CARBONX_CORE_EXPLORER_H
@@ -173,7 +176,7 @@ struct Evaluation
     }
 };
 
-/** Outcome of an exhaustive search. */
+/** Outcome of a design-space sweep. */
 struct OptimizationResult
 {
     Evaluation best;
@@ -284,35 +287,26 @@ class CarbonExplorer
                           Strategy strategy) const;
 
     /**
-     * Exhaustive search: minimize total (op + embodied) carbon. The
-     * (solar, wind) grid is sharded across the process thread pool
-     * (see common/parallel.h); results are deterministic — `best` and
-     * the order of `evaluated` are bit-identical at any thread count.
+     * Exhaustive search: minimize total (op + embodied) carbon over
+     * every lattice point — AdaptiveSweeper::sweep at coarse stride 1.
+     * Lane waves are sharded across the process thread pool (see
+     * common/parallel.h); results are deterministic — `best` and the
+     * order of `evaluated` are bit-identical at any thread count.
      */
     OptimizationResult optimize(const DesignSpace &space,
                                 Strategy strategy) const;
 
     /**
-     * Exhaustive search followed by @p rounds of local refinement:
-     * after each pass the space is zoomed onto the best point (one
-     * coarse step in every direction) and re-sampled, converging on
-     * the carbon optimum far faster than a uniformly fine grid.
-     * The returned evaluated set is the union of all passes.
+     * Exhaustive search followed by @p rounds of local refinement —
+     * AdaptiveSweeper::sweepRefined at coarse stride 1: after each
+     * pass the space is zoomed onto the best point (one coarse step in
+     * every direction) and re-sampled, converging on the carbon
+     * optimum far faster than a uniformly fine grid. The returned
+     * evaluated set is the union of all passes.
      */
     OptimizationResult optimizeRefined(const DesignSpace &space,
                                        Strategy strategy,
                                        int rounds = 2) const;
-
-    /**
-     * The zoom step optimizeRefined applies between passes: each axis
-     * of @p cur is narrowed to [best - step, best + step] (one current
-     * step in every direction), clamped to @p orig's bounds, keeping
-     * the sample counts. Shared with AdaptiveSweeper::sweepRefined so
-     * both drivers walk the identical refinement trajectory.
-     */
-    static DesignSpace zoomedSpace(const DesignSpace &orig,
-                                   const DesignSpace &cur,
-                                   const DesignPoint &best);
 
     /**
      * Smallest battery that reaches @p target_pct coverage for the
@@ -374,8 +368,7 @@ class CarbonExplorer
 
     /**
      * Attach a persistent result cache (borrowed; may be null to
-     * detach). Every sweep — optimize(), optimizeRefined(), and the
-     * adaptive driver — consults it before simulating a point and
+     * detach). Every sweep consults it before simulating a point and
      * checkpoints fresh evaluations into it between parallel batches,
      * so interrupted sweeps resume and identical re-runs are pure
      * cache replays. The cache must have been created with
@@ -390,7 +383,7 @@ class CarbonExplorer
      * Attach a decision journal (borrowed; may be null to detach).
      * Every sweep then records one row per design-point decision —
      * evaluated / interpolated / skipped / cache_hit / re_armed —
-     * through the batched evaluator and the adaptive driver, flushed
+     * through the batched evaluator and the sweep driver, flushed
      * block-wise at each checkpoint. Emission is instance-based and
      * re-entrant: two explorers with two journals never share state.
      */
@@ -437,10 +430,6 @@ class CarbonExplorer
   private:
     friend class SweepBatchEvaluator;
 
-    /** One exhaustive pass; @p pass tags progress reports. */
-    OptimizationResult optimizePass(const DesignSpace &space,
-                                    Strategy strategy, int pass) const;
-
     /**
      * The kernel lane of one design point under a strategy: capacity
      * cap, flexible ratio, SLO window, battery and grid-charging
@@ -481,8 +470,8 @@ class CarbonExplorer
 };
 
 /**
- * Cache-aware batch evaluator shared by the exhaustive sweep and the
- * adaptive driver. Owns one BatchedSimulationEngine plus a per-worker
+ * Cache-aware batch evaluator of the sweep driver (AdaptiveSweeper).
+ * Owns one BatchedSimulationEngine plus a per-worker
  * SimulationBatch (the SoA lane workspace that makes repeated point
  * evaluations allocation-free), consults the explorer's sweep cache
  * before simulating, and checkpoints fresh results back into it —
@@ -500,6 +489,14 @@ class CarbonExplorer
 class SweepBatchEvaluator
 {
   public:
+    /**
+     * Lanes per batched engine pass. Large enough to amortize one
+     * traversal of the hourly trace (and its cache traffic) over many
+     * design points, small enough that a sweep still splits into
+     * several waves for the thread pool to balance.
+     */
+    static constexpr size_t kLanesPerWave = 64;
+
     /** @p explorer is borrowed and must outlive the evaluator. */
     SweepBatchEvaluator(const CarbonExplorer &explorer, Strategy strategy);
     ~SweepBatchEvaluator();
@@ -516,14 +513,21 @@ class SweepBatchEvaluator
      * runs are fine but no longer special). Reports each point to
      * @p emitter (optional).
      *
-     * Each call ends with a checkpoint: fresh results are inserted
-     * into the attached cache and flushed to disk, then SweepAborted
-     * is thrown if the explorer's abort-after-points threshold has
-     * been crossed. Callers control checkpoint granularity by how
-     * many points they pass per call.
+     * Checkpoints bound the work a kill can lose: after every
+     * checkpointInterval() cache misses, and once at the end of the
+     * call, fresh results are inserted into the attached cache and
+     * flushed to disk (the journal too), then SweepAborted is thrown
+     * if the explorer's abort-after-points threshold has been crossed.
      */
     void evaluate(const DesignPoint *points, size_t count,
                   Evaluation *out, obs::SweepProgressEmitter *emitter);
+
+    /**
+     * Cache misses simulated between two checkpoints: a fixed number
+     * of lane waves per worker, so each checkpoint follows a full
+     * round of parallel work and the interval scales with the pool.
+     */
+    size_t checkpointInterval() const;
 
     /** Freshly simulated (cache-missed) points so far. */
     size_t simulatedPoints() const { return simulated_points_; }

@@ -4,7 +4,7 @@
  *
  * Usage:
  *
- *     void CarbonExplorer::optimizePass(...) {
+ *     AdaptiveSweepResult AdaptiveSweeper::sweepPass(...) {
  *         CARBONX_PROFILE("sweep/pass");
  *         ...
  *     }

@@ -72,25 +72,16 @@ runScenario(const Scenario &s, const ScenarioRunOptions &opts)
         explorer->setJournal(journal.get());
     }
 
-    if (mode == SweepMode::Exhaustive) {
-        out.result =
-            s.refine_rounds > 0
-                ? explorer->optimizeRefined(space, s.strategy,
-                                            s.refine_rounds)
-                : explorer->optimize(space, s.strategy);
-        out.stats.lattice_points = out.lattice_points;
-        out.stats.simulated_points = out.result.evaluated.size();
-    } else {
-        const AdaptiveSweeper sweeper(*explorer);
-        AdaptiveSweepResult adaptive =
-            s.refine_rounds > 0
-                ? sweeper.sweepRefined(space, s.strategy,
-                                       s.refine_rounds)
-                : sweeper.sweep(space, s.strategy);
-        out.result = std::move(adaptive.result);
-        out.stats = adaptive.stats;
-        out.cache_hits = adaptive.stats.cache_hits;
-    }
+    // The mode only picks the stride: exhaustive mode is the sweep
+    // driver at stride 1, adaptive mode at its default stride.
+    AdaptiveSweepOptions sweep_options;
+    if (mode == SweepMode::Exhaustive)
+        sweep_options.coarse_stride = 1;
+    AdaptiveSweepResult sweep =
+        AdaptiveSweeper(*explorer, sweep_options)
+            .sweepRefined(space, s.strategy, s.refine_rounds);
+    out.result = std::move(sweep.result);
+    out.stats = sweep.stats;
     if (journal != nullptr) {
         journal->flush();
         explorer->setJournal(nullptr);

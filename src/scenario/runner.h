@@ -4,7 +4,7 @@
  *
  * The runner is the one place that translates the declarative format
  * into live objects: ExplorerConfig (or ExternalTraces), the bounded
- * DesignSpace, the sweep driver named by the scenario's mode, the
+ * DesignSpace, the sweep stride named by the scenario's mode, the
  * optional persistent result cache, and the provenance-stamped
  * report. `carbonx run` and the conformance suite both go through
  * these functions, so a scenario behaves identically under the CLI
@@ -58,12 +58,14 @@ struct ScenarioRunResult
     std::string scenario_id;
     SweepMode mode = SweepMode::Exhaustive;
     OptimizationResult result;
-    /** Zeroed under the exhaustive driver except lattice_points. */
+    /**
+     * Work accounting of the sweep, summed over refinement passes.
+     * Exhaustive mode skips nothing, so points_skipped is 0 there.
+     */
     AdaptiveSweepStats stats;
     uint64_t scenario_digest = 0;
     uint64_t config_digest = 0;
     size_t lattice_points = 0;
-    size_t cache_hits = 0;
 };
 
 /**

@@ -1,13 +1,14 @@
 /**
  * @file
- * Differential harness for the adaptive multi-resolution sweep: over
- * twenty seeded synthetic regions spanning every balancing authority
- * and strategy, AdaptiveSweeper must reproduce the exhaustive
- * optimize() bit-for-bit — best point, best total carbon, and Pareto
- * frontier — at 1, 2, and automatic thread counts, while the
- * designated budget regions prove it simulates at most half of the
- * lattice. A warm result cache must serve a repeat sweep entirely
- * from disk, and sweepRefined must land exactly where
+ * Differential harness for the sweep driver: over twenty seeded
+ * synthetic regions spanning every balancing authority and strategy,
+ * optimize() (the driver at stride 1) must equal the naive exhaustive
+ * oracle (tests/support/exhaustive_oracle.h) bit-for-bit, and the
+ * adaptive stride must reproduce it — best point, best total carbon,
+ * and Pareto frontier — at 1, 2, and automatic thread counts, while
+ * the designated budget regions prove it simulates at most half of
+ * the lattice. A warm result cache must serve a repeat sweep entirely
+ * from disk, and the adaptive sweepRefined must land exactly where
  * optimizeRefined does.
  */
 
@@ -21,6 +22,7 @@
 #include "core/adaptive_sweep.h"
 #include "core/explorer.h"
 #include "obs/metrics.h"
+#include "support/exhaustive_oracle.h"
 #include "support/temp_dir.h"
 
 namespace carbonx
@@ -128,6 +130,34 @@ expectEvalIdentical(const Evaluation &a, const Evaluation &b,
               b.renewable_excess_mwh.value());
 }
 
+/** Every evaluation, in order, plus the best: bit for bit. */
+void
+expectResultIdentical(const OptimizationResult &a,
+                      const OptimizationResult &b, const std::string &what)
+{
+    expectEvalIdentical(a.best, b.best, what + "/best");
+    ASSERT_EQ(a.evaluated.size(), b.evaluated.size()) << what;
+    for (size_t i = 0; i < a.evaluated.size(); ++i)
+        expectEvalIdentical(a.evaluated[i], b.evaluated[i],
+                            what + "/" + std::to_string(i));
+}
+
+/**
+ * The exhaustive reference of one region: the oracle, after checking
+ * that optimize() reproduces it exactly.
+ */
+OptimizationResult
+exhaustiveReference(const CarbonExplorer &explorer, const Region &r)
+{
+    const OptimizationResult oracle =
+        testsupport::exhaustiveOracle(explorer, spaceFor(r), r.strategy);
+    expectResultIdentical(explorer.optimize(spaceFor(r), r.strategy),
+                          oracle,
+                          std::string(r.ba) + "/seed" +
+                              std::to_string(r.seed) + "/optimize");
+    return oracle;
+}
+
 /**
  * The core differential check: adaptive vs exhaustive on one region
  * at one thread count. Returns the adaptive stats for aggregation.
@@ -177,7 +207,7 @@ TEST(AdaptiveDifferentialSuite, TwentyRegionsBitIdenticalAtOneTwoAndAutoThreads)
     for (const Region &r : regions()) {
         const CarbonExplorer explorer(configFor(r));
         const OptimizationResult exhaustive =
-            explorer.optimize(spaceFor(r), r.strategy);
+            exhaustiveReference(explorer, r);
         for (const size_t threads : {size_t{1}, size_t{2}, size_t{0}})
             checkRegion(r, exhaustive, threads);
     }
@@ -202,7 +232,7 @@ TEST(AdaptiveDifferentialSuite, BudgetRegionsSimulateAtMostHalfTheLattice)
     for (const Region &r : budget) {
         const CarbonExplorer explorer(configFor(r));
         const OptimizationResult exhaustive =
-            explorer.optimize(spaceFor(r), r.strategy);
+            exhaustiveReference(explorer, r);
         const AdaptiveSweepStats stats = checkRegion(r, exhaustive, 0);
         simulated += stats.simulated_points;
         lattice += stats.lattice_points;
@@ -276,19 +306,15 @@ TEST(AdaptiveDifferentialSuite, StrideOneDegeneratesToExhaustive)
     const Region r{"PACE", 2020, 19.0, 8.0, Strategy::RenewablesOnly,
                    9, 1, 1};
     const CarbonExplorer explorer(configFor(r));
-    const OptimizationResult exhaustive =
-        explorer.optimize(spaceFor(r), r.strategy);
+    const OptimizationResult oracle =
+        testsupport::exhaustiveOracle(explorer, spaceFor(r), r.strategy);
     AdaptiveSweepOptions opts;
     opts.coarse_stride = 1;
     const AdaptiveSweepResult adaptive =
         AdaptiveSweeper(explorer, opts).sweep(spaceFor(r), r.strategy);
     EXPECT_EQ(adaptive.stats.points_skipped, 0u);
-    ASSERT_EQ(adaptive.result.evaluated.size(),
-              exhaustive.evaluated.size());
-    for (size_t i = 0; i < exhaustive.evaluated.size(); ++i)
-        expectEvalIdentical(adaptive.result.evaluated[i],
-                            exhaustive.evaluated[i],
-                            "stride1/" + std::to_string(i));
+    EXPECT_EQ(adaptive.stats.simulated_points, oracle.evaluated.size());
+    expectResultIdentical(adaptive.result, oracle, "stride1");
 }
 
 } // namespace

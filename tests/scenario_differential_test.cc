@@ -1,11 +1,13 @@
 /**
  * @file
- * Differential tests of the two sweep drivers through the scenario
+ * Differential tests of the two sweep modes through the scenario
  * runner: for every committed scenario — and for a set of randomized
- * programmatic variants — the adaptive sweeper must agree with the
- * exhaustive sweep on the best design bit-for-bit, and on the Pareto
- * front as a set. This is the property that makes `carbonx run
- * --refine` safe: the mode override can never change the answer.
+ * programmatic variants — adaptive mode must agree with exhaustive
+ * mode on the best design bit-for-bit, and on the Pareto front as a
+ * set. This is the property that makes `carbonx run --refine` safe:
+ * the mode override can never change the answer. A warm exhaustive
+ * run must also report its work honestly: all cache hits, nothing
+ * simulated.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include "common/rng.h"
 #include "scenario/registry.h"
 #include "scenario/runner.h"
+#include "support/temp_dir.h"
 
 namespace carbonx::scenario
 {
@@ -68,11 +71,11 @@ expectDriversAgree(const Scenario &s)
     EXPECT_EQ(a.result.best.coverage_pct, b.result.best.coverage_pct)
         << s.id;
 
-    // The Pareto front: identical as a set (the adaptive driver may
-    // enumerate evaluations in a different order).
+    // The Pareto front: identical as a set (adaptive mode evaluates
+    // only a subset of the lattice).
     EXPECT_EQ(frontOf(a.result), frontOf(b.result)) << s.id;
 
-    // Both drivers saw the same lattice.
+    // Both modes saw the same lattice.
     EXPECT_EQ(a.lattice_points, b.lattice_points) << s.id;
 
     // And the adaptive run must actually have skipped work on any
@@ -126,6 +129,32 @@ TEST(ScenarioDifferential, DriversAgreeOnRandomizedScenarios)
         ASSERT_NO_THROW(validateScenario(s));
         expectDriversAgree(s);
     }
+}
+
+TEST(ScenarioDifferential, WarmExhaustiveRunReportsCacheHitsNotSimulations)
+{
+    Scenario s;
+    s.id = "warm-exhaustive";
+    s.source_path = "<generated>";
+    s.strategy = Strategy::RenewableBattery;
+    s.mode = SweepMode::Exhaustive;
+    s.solar.steps = 5;
+    s.wind.steps = 5;
+    s.battery.steps = 4;
+    ASSERT_NO_THROW(validateScenario(s));
+
+    ScenarioRunOptions opts;
+    opts.cache_dir = testsupport::uniqueTestDir() + "cache";
+    const ScenarioRunResult cold = runScenario(s, opts);
+    EXPECT_EQ(cold.stats.simulated_points, cold.lattice_points);
+    EXPECT_EQ(cold.stats.cache_hits, 0u);
+
+    const ScenarioRunResult warm = runScenario(s, opts);
+    EXPECT_EQ(warm.stats.simulated_points, 0u);
+    EXPECT_EQ(warm.stats.cache_hits, warm.lattice_points);
+    EXPECT_EQ(warm.stats.points_skipped, 0u);
+    EXPECT_EQ(keyOf(warm.result.best), keyOf(cold.result.best));
+    EXPECT_EQ(warm.result.evaluated.size(), cold.result.evaluated.size());
 }
 
 } // namespace

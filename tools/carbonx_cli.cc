@@ -368,7 +368,13 @@ cmdOptimize(const ArgParser &args, obs::RunStatus &status)
         explorer.setJournal(journal.get());
     }
 
+    // --refine only picks the stride: exhaustive mode is the sweep
+    // driver at stride 1, --refine runs it at its default stride.
     const bool adaptive = args.getBool("refine");
+    AdaptiveSweepOptions sweep_options;
+    if (!adaptive)
+        sweep_options.coarse_stride = 1;
+    const AdaptiveSweeper sweeper(explorer, sweep_options);
     std::vector<Evaluation> bests;
     for (Strategy s : strategies) {
         const std::unique_ptr<SweepResultCache> cache =
@@ -388,19 +394,16 @@ cmdOptimize(const ArgParser &args, obs::RunStatus &status)
             row.ts_us = journal->nowUs();
             journal->sink(0).record(row);
         }
+        const AdaptiveSweepResult sweep = sweeper.sweepRefined(space, s);
         if (adaptive) {
-            const AdaptiveSweepResult adaptive_result =
-                AdaptiveSweeper(explorer).sweepRefined(space, s);
-            const AdaptiveSweepStats &st = adaptive_result.stats;
+            const AdaptiveSweepStats &st = sweep.stats;
             std::cerr << "refine[" << strategyName(s) << "]: "
                       << st.simulated_points << " simulated, "
                       << st.cache_hits << " cached, "
                       << st.points_skipped << '/' << st.lattice_points
                       << " skipped\n";
-            bests.push_back(adaptive_result.result.best);
-        } else {
-            bests.push_back(explorer.optimizeRefined(space, s).best);
         }
+        bests.push_back(sweep.result.best);
         explorer.setSweepCache(nullptr);
     }
     if (journal != nullptr) {
