@@ -11,6 +11,8 @@
 #include <chrono>
 #include <filesystem>
 #include <iostream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "battery/clc_step.h"
@@ -18,6 +20,7 @@
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
+#include "obs/trace.h"
 #include "core/adaptive_sweep.h"
 #include "core/coordinate_descent.h"
 #include "core/explorer.h"
@@ -272,10 +275,26 @@ BENCHMARK(BM_OptimizeSweep)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// The same sweep with phase timers on, as a visible row next to the
-// plain BM_OptimizeSweep pair. The phases are batch-scoped (hundreds
-// of timer pairs per sweep, not one per design point), so the delta
-// to the unprofiled rows is the whole cost of always-on profiling.
+/**
+ * Turn both CARBONX_SCOPE sinks (phase profiler and span tracer) on
+ * or off together, starting each from empty.
+ */
+void
+setScopeSinks(bool on)
+{
+    auto &profiler = obs::PhaseProfiler::instance();
+    auto &tracer = obs::SpanTracer::instance();
+    profiler.setEnabled(on);
+    tracer.setEnabled(on);
+    profiler.reset();
+    tracer.clear();
+}
+
+// The same sweep with both scope sinks on, as a visible row next to
+// the plain BM_OptimizeSweep pair. The scopes are batch-scoped
+// (hundreds of clock pairs per sweep, not one per design point), so
+// the delta to the uninstrumented rows is the whole cost of always-on
+// profiling plus tracing.
 void
 BM_OptimizeSweepProfiled(benchmark::State &state)
 {
@@ -283,16 +302,13 @@ BM_OptimizeSweepProfiled(benchmark::State &state)
     const DesignSpace space =
         DesignSpace::forDatacenter(19.0, 10.0, 7, 7, 3);
     setThreadCount(static_cast<size_t>(state.range(0)));
-    auto &profiler = obs::PhaseProfiler::instance();
-    profiler.reset();
-    profiler.setEnabled(true);
+    setScopeSinks(true);
     for (auto _ : state) {
         OptimizationResult r =
             ex.optimize(space, Strategy::RenewableBatteryCas);
         benchmark::DoNotOptimize(r.best.totalKg());
     }
-    profiler.setEnabled(false);
-    profiler.reset();
+    setScopeSinks(false);
     state.SetItemsProcessed(
         static_cast<int64_t>(state.iterations()) *
         static_cast<int64_t>(
@@ -470,20 +486,19 @@ BM_BatteryYearOfHourlySteps(benchmark::State &state)
 }
 BENCHMARK(BM_BatteryYearOfHourlySteps);
 
-// Harness-level guard on the profiler's overhead budget: median wall
-// time of the Fig. 15 full-factorial sweep with phase timers on must
-// stay within 10% of the identical sweep with the profiler off. The
-// phases are batch-scoped, so the true cost is well under 2%; the
-// generous fence only absorbs scheduler noise in the medians. A real
-// regression (a per-point timer, a lock on the hot path) shows up as
-// far more.
+// Harness-level guard on the scope overhead budget: median wall time
+// of the Fig. 15 full-factorial sweep with both scope sinks on
+// (profiler and tracer) must stay within 10% of the identical sweep
+// with both off. The scopes are batch-scoped, so the true cost is
+// well under 2%; the generous fence only absorbs scheduler noise in
+// the medians. A real regression (a per-point scope, a lock on the
+// hot path) shows up as far more.
 bool
 profilerOverheadWithinBudget()
 {
     const CarbonExplorer &ex = sharedExplorer();
     const DesignSpace space =
         DesignSpace::forDatacenter(19.0, 10.0, 7, 7, 3);
-    auto &profiler = carbonx::obs::PhaseProfiler::instance();
 
     const auto median_ms = [&] {
         std::vector<double> samples;
@@ -500,19 +515,20 @@ profilerOverheadWithinBudget()
         return samples[samples.size() / 2];
     };
 
-    profiler.setEnabled(false);
+    setScopeSinks(false);
     median_ms(); // Warm the caches before timing either mode.
     const double off_ms = median_ms();
-    profiler.reset();
-    profiler.setEnabled(true);
+    setScopeSinks(true);
     const double on_ms = median_ms();
-    profiler.setEnabled(false);
-    const carbonx::obs::ProfileNode merged = profiler.merged();
-    profiler.reset();
+    const obs::ProfileNode merged = obs::PhaseProfiler::instance().merged();
+    std::ostringstream trace;
+    obs::SpanTracer::instance().writeChromeTrace(trace);
+    setScopeSinks(false);
 
-    // The sweep routes through the batched kernel, so the profiled
-    // run must have timed its batch phases — a missing node means the
-    // fence silently stopped covering the hot path.
+    // The sweep routes through the batched kernel, so the instrumented
+    // run must have timed its batch scopes in both sinks — a missing
+    // node or event means the fence silently stopped covering the hot
+    // path.
     const auto findDeep = [](const carbonx::obs::ProfileNode &node,
                              const std::string &name,
                              auto &&self) -> bool {
@@ -524,15 +540,18 @@ profilerOverheadWithinBudget()
         }
         return false;
     };
-    const bool phases_ok = findDeep(merged, "sweep/batch_fill", findDeep) &&
-                           findDeep(merged, "sim/batch_step", findDeep) &&
-                           findDeep(merged, "sim/batch_drain", findDeep);
+    const bool phases_ok =
+        findDeep(merged, "sweep/batch_fill", findDeep) &&
+        findDeep(merged, "sim/batch_step", findDeep) &&
+        findDeep(merged, "sim/batch_drain", findDeep) &&
+        trace.str().find("\"sim/batch_step\"") != std::string::npos;
     if (!phases_ok)
-        std::cerr << "profiler overhead check: batched kernel phases "
-                     "missing from the merged profile\n";
+        std::cerr << "profiler overhead check: batched kernel scopes "
+                     "missing from the merged profile or the trace\n";
 
     const bool ok = phases_ok && on_ms <= off_ms * 1.10;
-    std::cerr << "profiler overhead check: off " << off_ms
+    std::cerr << "profiler overhead check (profile + trace): off "
+              << off_ms
               << " ms, on " << on_ms << " ms ("
               << 100.0 * (on_ms - off_ms) / off_ms
               << "%, fence 10%; "

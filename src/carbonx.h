@@ -18,9 +18,12 @@
 #include "common/table.h"
 #include "common/units.h"
 
-// Observability: metrics, tracing, sweep progress.
+// Observability: metrics, CARBONX_SCOPE and its trace/profile sinks,
+// sweep progress.
 #include "obs/metrics.h"
+#include "obs/profiler.h"
 #include "obs/progress.h"
+#include "obs/scope.h"
 #include "obs/trace.h"
 
 // Time series.

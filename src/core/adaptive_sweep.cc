@@ -12,8 +12,7 @@
 #include "common/table.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
-#include "obs/trace.h"
+#include "obs/scope.h"
 #include "scheduler/batched_engine.h"
 
 namespace carbonx
@@ -26,7 +25,7 @@ SweepResultCache::SweepResultCache(std::string path,
           // Delegating through a lambda so the phase brackets the
           // underlying ResultCache's on-disk load (the common layer
           // cannot depend on obs, so the timer lives here).
-          CARBONX_PROFILE("cache/load");
+          CARBONX_SCOPE("cache/load");
           return ResultCache(std::move(path), config_digest,
                              BatchedSimulationEngine::kernelFingerprint(),
                              kPayloadWidth, std::move(provenance));
@@ -82,7 +81,7 @@ SweepResultCache::insert(const Evaluation &eval)
 void
 SweepResultCache::flush()
 {
-    CARBONX_PROFILE("cache/flush");
+    CARBONX_SCOPE("cache/flush");
     cache_.flush();
 }
 
@@ -210,7 +209,7 @@ AdaptiveSweeper::sweepRefined(const DesignSpace &space,
                               Strategy strategy, int rounds) const
 {
     require(rounds >= 0, "refinement rounds must be >= 0");
-    CARBONX_SPAN("explorer/optimize_refined");
+    CARBONX_SCOPE("explorer/optimize_refined");
     AdaptiveSweepResult result = sweepPass(space, strategy, 0);
 
     DesignSpace current = space;
@@ -244,8 +243,7 @@ AdaptiveSweepResult
 AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
                            int pass) const
 {
-    CARBONX_SPAN("explorer/optimize");
-    CARBONX_PROFILE("sweep/pass");
+    CARBONX_SCOPE("sweep/pass");
     static auto &c_passes = obs::counter("explorer.optimize_passes");
     static auto &c_skipped = obs::counter("sweep.points_skipped");
     static auto &c_refined = obs::counter("sweep.cells_refined");

@@ -17,8 +17,7 @@
 #include "core/adaptive_sweep.h"
 #include "grid/balancing_authority.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
-#include "obs/trace.h"
+#include "obs/scope.h"
 #include "scheduler/batched_engine.h"
 
 namespace carbonx
@@ -85,7 +84,7 @@ loadFromExternal(const ExternalTraces &traces)
 ExternalTraces
 ExternalTraces::fromCsv(const std::string &path, int year)
 {
-    CARBONX_SPAN("explorer/load_external_traces");
+    CARBONX_SCOPE("explorer/load_external_traces");
     inform("loading external traces from " + path +
            "; solar/wind columns are rescaled to per-unit shapes");
     const CsvTable csv = CsvTable::readFile(path);
@@ -334,7 +333,7 @@ CarbonExplorer::evaluationFrom(const DesignPoint &point, Strategy strategy,
 SimulationResult
 CarbonExplorer::simulate(const DesignPoint &point, Strategy strategy) const
 {
-    CARBONX_SPAN("explorer/simulate");
+    CARBONX_SCOPE("explorer/simulate");
     obs::counter("explorer.simulations").increment();
     SimulationResult result(load_trace_.power.year());
     RecordingObserver observer(result);
@@ -345,7 +344,7 @@ CarbonExplorer::simulate(const DesignPoint &point, Strategy strategy) const
 Evaluation
 CarbonExplorer::evaluate(const DesignPoint &point, Strategy strategy) const
 {
-    CARBONX_SPAN("explorer/evaluate");
+    CARBONX_SCOPE("explorer/evaluate");
     obs::counter("explorer.evaluations").increment();
     NoObserver none;
     return evaluationFrom(
@@ -356,8 +355,7 @@ CarbonExplorer::evaluate(const DesignPoint &point, Strategy strategy) const
 ExplainResult
 CarbonExplorer::explain(const DesignPoint &point, Strategy strategy) const
 {
-    CARBONX_SPAN("explorer/explain");
-    CARBONX_PROFILE("explorer/explain");
+    CARBONX_SCOPE("explorer/explain");
     obs::counter("explorer.explains").increment();
 
     ExplainResult out{Evaluation{},
@@ -453,7 +451,7 @@ SweepBatchEvaluator::evaluate(const DesignPoint *points, size_t count,
                               Evaluation *out,
                               obs::SweepProgressEmitter *emitter)
 {
-    CARBONX_PROFILE("sweep/batch");
+    CARBONX_SCOPE("sweep/batch");
     static auto &c_points = obs::counter("explorer.points_evaluated");
     static auto &h_point = obs::latency("explorer.point_eval_us");
     static auto &c_hits = obs::counter("sweep.cache_hits");
@@ -471,7 +469,7 @@ SweepBatchEvaluator::evaluate(const DesignPoint *points, size_t count,
     std::vector<size_t> misses;
     misses.reserve(count);
     {
-        CARBONX_PROFILE("sweep/cache_lookup");
+        CARBONX_SCOPE("sweep/cache_lookup");
         const uint64_t ts =
             journal != nullptr ? journal->nowUs() : 0;
         for (size_t i = 0; i < count; ++i) {
@@ -533,13 +531,13 @@ SweepBatchEvaluator::evaluate(const DesignPoint *points, size_t count,
             ? journal->claimWaves(static_cast<uint32_t>(waves))
             : 0;
         parallelFor(0, waves, 1, [&](size_t wave, size_t worker) {
-            CARBONX_PROFILE("sweep/run_group");
+            CARBONX_SCOPE("sweep/run_group");
             SweepWorkspace &ws = workspaces[worker];
             const size_t i0 = m0 + wave * kLanesPerWave;
             const size_t i1 = std::min(m1, i0 + kLanesPerWave);
             const auto run_start = std::chrono::steady_clock::now();
             {
-                CARBONX_PROFILE("sweep/batch_fill");
+                CARBONX_SCOPE("sweep/batch_fill");
                 ws.batch.clear();
                 for (size_t i = i0; i < i1; ++i)
                     ws.batch.addLane(
@@ -651,7 +649,7 @@ CarbonExplorer::minimumBatteryForCoverage(MegaWatts solar_mw,
                                           double target_pct,
                                           MegaWattHours max_mwh) const
 {
-    CARBONX_SPAN("explorer/min_battery_bisect");
+    CARBONX_SCOPE("explorer/min_battery_bisect");
     if (max_mwh.value() < 0.0)
         max_mwh = MegaWattHours(100.0 * config_.avg_dc_power_mw.value());
 
@@ -696,7 +694,7 @@ CarbonExplorer::minimumExtraCapacityForCoverage(MegaWatts solar_mw,
                                                 double target_pct,
                                                 Fraction max_extra) const
 {
-    CARBONX_SPAN("explorer/min_extra_capacity_bisect");
+    CARBONX_SCOPE("explorer/min_extra_capacity_bisect");
     // Renewables plus carbon-aware deferral, no battery.
     const BatchedSimulationEngine kernel = engine();
     BatchLaneConfig lane;

@@ -17,17 +17,17 @@ namespace carbonx::obs
  * run only at quiescence, after a synchronization point (parallelFor
  * join) ordered the writes.
  */
-struct PhaseProfiler::Node
+struct PhaseNode
 {
     const char *name = nullptr;
-    Node *parent = nullptr;
+    PhaseNode *parent = nullptr;
     uint64_t count = 0;
     uint64_t total_ns = 0;
     uint64_t min_ns = 0;
     uint64_t max_ns = 0;
-    std::vector<std::unique_ptr<Node>> children;
+    std::vector<std::unique_ptr<PhaseNode>> children;
 
-    Node *childFor(const char *child_name)
+    PhaseNode *childFor(const char *child_name)
     {
         for (const auto &c : children) {
             // Literals usually dedupe to one pointer per TU; fall
@@ -36,8 +36,8 @@ struct PhaseProfiler::Node
                 std::strcmp(c->name, child_name) == 0)
                 return c.get();
         }
-        children.push_back(std::make_unique<Node>());
-        Node *child = children.back().get();
+        children.push_back(std::make_unique<PhaseNode>());
+        PhaseNode *child = children.back().get();
         child->name = child_name;
         child->parent = this;
         return child;
@@ -47,8 +47,8 @@ struct PhaseProfiler::Node
 /** Per-thread tree: a synthetic root plus the open-phase cursor. */
 struct PhaseProfiler::ThreadTree
 {
-    Node root;
-    Node *current = &root;
+    PhaseNode root;
+    PhaseNode *current = &root;
 
     ThreadTree() { root.name = "root"; }
 };
@@ -59,7 +59,7 @@ namespace
 thread_local PhaseProfiler::ThreadTree *t_tree = nullptr;
 
 void
-zeroTree(PhaseProfiler::Node &node)
+zeroTree(PhaseNode &node)
 {
     node.count = 0;
     node.total_ns = 0;
@@ -83,7 +83,7 @@ mergedChildFor(ProfileNode &parent, const char *name)
 
 /** True when no phase anywhere in the subtree ever ran. */
 bool
-subtreeEmpty(const PhaseProfiler::Node &node)
+subtreeEmpty(const PhaseNode &node)
 {
     if (node.count > 0)
         return false;
@@ -95,7 +95,7 @@ subtreeEmpty(const PhaseProfiler::Node &node)
 }
 
 void
-mergeInto(ProfileNode &dst, const PhaseProfiler::Node &src)
+mergeInto(ProfileNode &dst, const PhaseNode &src)
 {
     if (src.count > 0) {
         if (dst.count == 0 || src.min_ns < dst.min_ns)
@@ -158,7 +158,7 @@ ProfileNode::find(const std::string &child_name) const
 PhaseProfiler &
 PhaseProfiler::instance()
 {
-    // Leaked so phases in static destructors never touch a dead
+    // Leaked so scopes in static destructors never touch a dead
     // registry (same lifetime trick as SpanTracer / MetricsRegistry).
     static PhaseProfiler *profiler = new PhaseProfiler();
     return *profiler;
@@ -178,18 +178,19 @@ PhaseProfiler::threadTree()
     return *t_tree;
 }
 
-PhaseProfiler::Node *
+PhaseNode *
 PhaseProfiler::beginPhase(const char *name)
 {
     ThreadTree &tree = threadTree();
-    Node *node = tree.current->childFor(name);
+    PhaseNode *node = tree.current->childFor(name);
     tree.current = node;
     return node;
 }
 
 void
-PhaseProfiler::endPhase(Node *node, uint64_t elapsed_ns)
+PhaseProfiler::endPhase(PhaseNode *node, std::chrono::nanoseconds elapsed)
 {
+    const auto elapsed_ns = static_cast<uint64_t>(elapsed.count());
     if (node->count == 0 || elapsed_ns < node->min_ns)
         node->min_ns = elapsed_ns;
     if (elapsed_ns > node->max_ns)

@@ -1,40 +1,24 @@
 /**
  * @file
- * Hierarchical scoped phase profiler.
+ * Hierarchical phase-profiler sink for CARBONX_SCOPE (obs/scope.h).
  *
- * Usage:
- *
- *     AdaptiveSweepResult AdaptiveSweeper::sweepPass(...) {
- *         CARBONX_PROFILE("sweep/pass");
- *         ...
- *     }
- *
- * Phases nest lexically per thread into a call tree; every node
- * accumulates count, total wall time, and min/max per entry. Each
- * thread owns its tree (no locking on the hot path), and merged()
- * folds all per-thread trees into one aggregate keyed by phase name,
- * with self time (total minus children) computed on export.
- *
- * The profiler is disabled by default; a disabled CARBONX_PROFILE
- * costs one relaxed atomic load, mirroring CARBONX_SPAN, so the
- * macros stay in release hot paths. Enabling only reads clocks — it
- * never alters simulation arithmetic, so sweeps stay bit-identical at
- * any thread count with profiling on.
- *
- * Phase names must be unique string literals tree-wide (enforced by
- * carbonx-lint rule profile-phase): literals give stable pointers for
- * the fast child lookup, and uniqueness keeps the merged tree
- * unambiguous when the same phase runs on many threads.
+ * Scopes that open while the profiler is on nest lexically per thread
+ * into a call tree; every node accumulates count, total wall time,
+ * and min/max per entry. Each thread owns its tree (no locking on the
+ * hot path), and merged() folds all per-thread trees into one
+ * aggregate keyed by scope name, with self time (total minus
+ * children) computed on export. The same scopes feed the Chrome trace
+ * (obs/trace.h) when that sink is on. The profiler is disabled by
+ * default.
  *
  * reset() and merged() require quiescence: no thread may be inside a
- * phase while they run. The bench harness snapshots between
+ * scope while they run. The bench harness snapshots between
  * scenarios, after parallelFor has joined its workers.
  */
 
 #ifndef CARBONX_OBS_PROFILER_H
 #define CARBONX_OBS_PROFILER_H
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -43,6 +27,8 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/scope.h"
 
 namespace carbonx::obs
 {
@@ -68,16 +54,9 @@ class PhaseProfiler
   public:
     static PhaseProfiler &instance();
 
-    /** Enable/disable collection; disabling keeps recorded phases. */
-    void setEnabled(bool on)
-    {
-        enabled_.store(on, std::memory_order_relaxed);
-    }
-
-    bool enabled() const
-    {
-        return enabled_.load(std::memory_order_relaxed);
-    }
+    /** Collect scopes opened from now on; disabling keeps phases. */
+    void setEnabled(bool on) { Scope::setSinkEnabled(kProfileSink, on); }
+    bool enabled() const { return Scope::sinkEnabled(kProfileSink); }
 
     /**
      * Zero every node in every thread's tree (structure is kept, like
@@ -103,18 +82,16 @@ class PhaseProfiler
     /** Number of threads that have recorded at least one phase. */
     size_t threadCount() const;
 
-    // Implementation details of ScopedPhase; not for direct use.
-    struct Node;
+    // Implementation details of obs::Scope; not for direct use.
     struct ThreadTree;
-    Node *beginPhase(const char *name);
-    void endPhase(Node *node, uint64_t elapsed_ns);
+    PhaseNode *beginPhase(const char *name);
+    void endPhase(PhaseNode *node, std::chrono::nanoseconds elapsed);
 
   private:
     PhaseProfiler() = default;
 
     ThreadTree &threadTree();
 
-    std::atomic<bool> enabled_{false};
     mutable std::mutex registry_mutex_;
     std::vector<std::unique_ptr<ThreadTree>> threads_;
 };
@@ -122,53 +99,6 @@ class PhaseProfiler
 /** Serialize a ProfileNode subtree as JSON (used by the bench report). */
 void writeProfileJson(std::ostream &os, const ProfileNode &node,
                       const std::string &indent);
-
-/**
- * RAII phase: opens on construction when profiling is enabled, closes
- * and accumulates on destruction. Captures the enabled state at
- * construction so toggling mid-phase cannot unbalance the stack.
- */
-class ScopedPhase
-{
-  public:
-    explicit ScopedPhase(const char *name)
-        : node_(PhaseProfiler::instance().enabled()
-                    ? PhaseProfiler::instance().beginPhase(name)
-                    : nullptr)
-    {
-        if (node_ != nullptr)
-            start_ = std::chrono::steady_clock::now();
-    }
-
-    ScopedPhase(const ScopedPhase &) = delete;
-    ScopedPhase &operator=(const ScopedPhase &) = delete;
-
-    ~ScopedPhase()
-    {
-        if (node_ == nullptr)
-            return;
-        const auto elapsed =
-            std::chrono::steady_clock::now() - start_;
-        PhaseProfiler::instance().endPhase(
-            node_,
-            static_cast<uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    elapsed)
-                    .count()));
-    }
-
-  private:
-    PhaseProfiler::Node *node_;
-    std::chrono::steady_clock::time_point start_;
-};
-
-#define CARBONX_PROFILE_CONCAT2(a, b) a##b
-#define CARBONX_PROFILE_CONCAT(a, b) CARBONX_PROFILE_CONCAT2(a, b)
-
-/** Time the enclosing scope as one phase named @p name (a literal). */
-#define CARBONX_PROFILE(name)                                         \
-    ::carbonx::obs::ScopedPhase CARBONX_PROFILE_CONCAT(               \
-        carbonx_phase_, __LINE__)(name)
 
 } // namespace carbonx::obs
 

@@ -1,5 +1,6 @@
 #include "trace.h"
 
+#include <atomic>
 #include <fstream>
 #include <ostream>
 #include <utility>
@@ -13,15 +14,6 @@ namespace carbonx::obs
 
 namespace
 {
-
-/** One open span on the calling thread. */
-struct OpenSpan
-{
-    const char *name;
-    uint64_t start_us;
-};
-
-thread_local std::vector<OpenSpan> t_stack;
 
 uint32_t
 threadId()
@@ -39,36 +31,26 @@ SpanTracer::SpanTracer() : epoch_(std::chrono::steady_clock::now()) {}
 SpanTracer &
 SpanTracer::instance()
 {
-    // Leaked so spans in static destructors never touch a dead tracer.
+    // Leaked so scopes in static destructors never touch a dead tracer.
     static SpanTracer *tracer = new SpanTracer();
     return *tracer;
 }
 
-uint64_t
-SpanTracer::nowUs() const
-{
-    const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-        std::chrono::steady_clock::now() - epoch_);
-    return static_cast<uint64_t>(us.count());
-}
-
 void
-SpanTracer::beginSpan(const char *name)
+SpanTracer::record(const char *name,
+                   std::chrono::steady_clock::time_point start,
+                   std::chrono::steady_clock::time_point end)
 {
-    t_stack.push_back(OpenSpan{name, nowUs()});
-}
-
-void
-SpanTracer::endSpan()
-{
-    ensure(!t_stack.empty(), "endSpan without a matching beginSpan");
-    const OpenSpan open = t_stack.back();
-    t_stack.pop_back();
-    const uint64_t end_us = nowUs();
+    const auto us = [this](std::chrono::steady_clock::time_point t) {
+        return static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::microseconds>(t - epoch_)
+                .count());
+    };
     Event event;
-    event.name = open.name;
-    event.ts_us = open.start_us;
-    event.dur_us = end_us > open.start_us ? end_us - open.start_us : 0;
+    event.name = name;
+    event.ts_us = us(start);
+    const uint64_t end_us = us(end);
+    event.dur_us = end_us > event.ts_us ? end_us - event.ts_us : 0;
     event.tid = threadId();
     const std::lock_guard<std::mutex> lock(mutex_);
     events_.push_back(std::move(event));
@@ -102,12 +84,6 @@ SpanTracer::eventCount() const
 {
     const std::lock_guard<std::mutex> lock(mutex_);
     return events_.size();
-}
-
-size_t
-SpanTracer::openSpanDepth() const
-{
-    return t_stack.size();
 }
 
 void

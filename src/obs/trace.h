@@ -1,25 +1,18 @@
 /**
  * @file
- * Scoped span tracing with Chrome trace_event JSON export.
+ * Chrome trace_event sink for CARBONX_SCOPE (obs/scope.h).
  *
- * Usage:
- *
- *     void CarbonExplorer::evaluate(...) {
- *         CARBONX_SPAN("explorer/evaluate");
- *         ...
- *     }
- *
- * Spans form a parent/child hierarchy through lexical nesting on each
- * thread; the exported file loads directly in chrome://tracing or
- * https://ui.perfetto.dev. The tracer is disabled by default and a
- * disabled span costs one relaxed atomic load — cheap enough to leave
- * in release hot paths.
+ * Every scope that closes while the tracer was on at its open becomes
+ * one "X" (complete) event; lexical nesting on a thread shows up as
+ * interval containment, which chrome://tracing and
+ * https://ui.perfetto.dev render as a parent/child hierarchy. The
+ * same scopes feed the phase profiler (obs/profiler.h) when that sink
+ * is on. The tracer is disabled by default.
  */
 
 #ifndef CARBONX_OBS_TRACE_H
 #define CARBONX_OBS_TRACE_H
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
@@ -27,35 +20,29 @@
 #include <string>
 #include <vector>
 
+#include "obs/scope.h"
+
 namespace carbonx::obs
 {
 
-/** Process-wide collector of completed spans. */
+/** Process-wide collector of closed scopes. */
 class SpanTracer
 {
   public:
     static SpanTracer &instance();
 
-    /** Enable/disable collection; disabling keeps recorded spans. */
-    void setEnabled(bool on)
-    {
-        enabled_.store(on, std::memory_order_relaxed);
-    }
-
-    bool enabled() const
-    {
-        return enabled_.load(std::memory_order_relaxed);
-    }
+    /** Collect scopes opened from now on; disabling keeps events. */
+    void setEnabled(bool on) { Scope::setSinkEnabled(kTraceSink, on); }
+    bool enabled() const { return Scope::sinkEnabled(kTraceSink); }
 
     /**
-     * Open a span on the calling thread. Must be paired with
-     * endSpan() on the same thread; prefer CARBONX_SPAN, which
-     * guarantees the pairing.
+     * Record one closed scope as an "X" event on the calling thread.
+     * Both clock reads are the scope's, so the event covers exactly
+     * the interval the profiler accumulates.
      */
-    void beginSpan(const char *name);
-
-    /** Close the innermost open span of the calling thread. */
-    void endSpan();
+    void record(const char *name,
+                std::chrono::steady_clock::time_point start,
+                std::chrono::steady_clock::time_point end);
 
     /**
      * Attach a counter track: one named series sampled once per
@@ -71,11 +58,8 @@ class SpanTracer
     /** Counter tracks attached so far. */
     size_t counterTrackCount() const;
 
-    /** Completed spans recorded so far. */
+    /** Completed scopes recorded so far. */
     size_t eventCount() const;
-
-    /** Depth of the calling thread's open-span stack. */
-    size_t openSpanDepth() const;
 
     /** Chrome trace_event JSON ("X" complete events). */
     void writeChromeTrace(std::ostream &os) const;
@@ -83,7 +67,7 @@ class SpanTracer
     /** Write the Chrome trace JSON to @p path. */
     void writeChromeTraceFile(const std::string &path) const;
 
-    /** Drop all recorded spans. */
+    /** Drop all recorded events and counter tracks. */
     void clear();
 
   private:
@@ -97,56 +81,11 @@ class SpanTracer
 
     SpanTracer();
 
-    uint64_t nowUs() const;
-
-    std::atomic<bool> enabled_{false};
     std::chrono::steady_clock::time_point epoch_;
     mutable std::mutex mutex_;
     std::vector<Event> events_;
     std::vector<std::pair<std::string, std::vector<double>>> counters_;
 };
-
-/**
- * RAII span: opens on construction when tracing is enabled, closes on
- * destruction. Captures the enabled state at construction so that
- * toggling mid-span cannot unbalance the stack.
- */
-class ScopedSpan
-{
-  public:
-    /**
-     * @param name Span label; a string literal (the pointer must stay
-     *        valid until the span closes).
-     * @param condition Extra gate; the span records only when tracing
-     *        is enabled and this is true.
-     */
-    explicit ScopedSpan(const char *name, bool condition = true)
-        : active_(condition && SpanTracer::instance().enabled())
-    {
-        if (active_)
-            SpanTracer::instance().beginSpan(name);
-    }
-
-    ScopedSpan(const ScopedSpan &) = delete;
-    ScopedSpan &operator=(const ScopedSpan &) = delete;
-
-    ~ScopedSpan()
-    {
-        if (active_)
-            SpanTracer::instance().endSpan();
-    }
-
-  private:
-    bool active_;
-};
-
-#define CARBONX_SPAN_CONCAT2(a, b) a##b
-#define CARBONX_SPAN_CONCAT(a, b) CARBONX_SPAN_CONCAT2(a, b)
-
-/** Trace the enclosing scope as one span named @p name. */
-#define CARBONX_SPAN(...)                                             \
-    ::carbonx::obs::ScopedSpan CARBONX_SPAN_CONCAT(carbonx_span_,     \
-                                                   __LINE__)(__VA_ARGS__)
 
 } // namespace carbonx::obs
 

@@ -54,7 +54,6 @@ runScenario(const Scenario &s, const ScenarioRunOptions &opts)
     out.mode = mode;
     out.scenario_digest = s.digest();
     out.config_digest = explorer->configDigest(s.strategy);
-    out.lattice_points = space.sizeFor(s.strategy);
 
     std::unique_ptr<SweepResultCache> cache;
     if (!opts.cache_dir.empty()) {
@@ -118,7 +117,7 @@ writeScenarioReport(std::ostream &os, const Scenario &s,
     // The only mode-dependent lines; CI's exhaustive-vs-refine diff
     // filters "^# sweep" and expects everything above to match.
     os << "# sweep mode: " << sweepModeName(run.mode) << '\n';
-    os << "# sweep lattice: " << run.lattice_points << '\n';
+    os << "# sweep lattice: " << run.stats.lattice_points << '\n';
     os << "# sweep evaluated: " << run.result.evaluated.size()
        << '\n';
     if (run.mode == SweepMode::Adaptive) {

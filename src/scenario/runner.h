@@ -65,7 +65,6 @@ struct ScenarioRunResult
     AdaptiveSweepStats stats;
     uint64_t scenario_digest = 0;
     uint64_t config_digest = 0;
-    size_t lattice_points = 0;
 };
 
 /**

@@ -13,9 +13,8 @@
 #include "common/fnv.h"
 #include "common/tolerances.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "obs/recorder.h"
-#include "obs/trace.h"
+#include "obs/scope.h"
 #include "timeseries/calendar.h"
 
 namespace carbonx
@@ -145,7 +144,7 @@ void
 BatchedSimulationEngine::run(SimulationBatch &batch,
                              Observer &observer) const
 {
-    CARBONX_SPAN("sim/batch_run");
+    CARBONX_SCOPE("sim/batch_run");
     static auto &c_batches = obs::counter("sim.batch_runs");
     static auto &c_lanes = obs::counter("sim.batch_lanes");
     static auto &c_hours = obs::counter("sim.hours_simulated");
@@ -289,7 +288,7 @@ BatchedSimulationEngine::simulate(SimulationBatch &batch,
     };
 
     {
-        CARBONX_PROFILE("sim/batch_step");
+        CARBONX_SCOPE("sim/batch_step");
         for (size_t h = 0; h < n; ++h) {
             const double load = dc[h];
             const double sh = sshape[h];
@@ -478,7 +477,7 @@ BatchedSimulationEngine::simulate(SimulationBatch &batch,
     }
 
     {
-        CARBONX_PROFILE("sim/batch_drain");
+        CARBONX_SCOPE("sim/batch_drain");
         const double *b_usable = batch.bat_usable_.data();
         for (size_t l = 0; l < m; ++l) {
             BatchLaneResult &r = batch.results_[l];

@@ -187,7 +187,7 @@ class BatchedSimulationEngine
         uint64_t discharge = 0;
     };
 
-    /** The kernel proper: run() minus spans and metrics. */
+    /** The kernel proper: run() minus scopes and metrics. */
     template <class Observer>
     StepCalls simulate(SimulationBatch &batch, Observer &observer) const;
 

@@ -8,7 +8,7 @@
 #include "common/error.h"
 #include "common/tolerances.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/scope.h"
 
 namespace carbonx
 {
@@ -35,7 +35,7 @@ GreedyCarbonScheduler::schedule(const TimeSeries &dc_power,
                 config_.capacity_cap_mw.value() + kCapacityCapSlackMw,
             "existing load already exceeds the capacity cap");
 
-    CARBONX_SPAN("scheduler/greedy");
+    CARBONX_SCOPE("scheduler/greedy");
     static auto &c_runs = obs::counter("scheduler.greedy_runs");
     static auto &g_moved = obs::gauge("scheduler.moved_mwh_total");
     static auto &h_run = obs::latency("scheduler.greedy_us");

@@ -11,12 +11,15 @@
 #include <gtest/gtest.h>
 
 #include <mutex>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "battery/clc_battery.h"
 #include "common/parallel.h"
 #include "core/explorer.h"
 #include "obs/profiler.h"
+#include "obs/trace.h"
 #include "support/simulation_engine.h"
 
 namespace carbonx
@@ -106,9 +109,10 @@ TEST(ParallelSweep, OptimizeBitIdenticalAcrossThreadCounts)
 
 TEST(ParallelSweep, OptimizeBitIdenticalWithProfilerEnabled)
 {
-    // The profiler's non-interference contract: enabling it only
-    // reads clocks, so a profiled sweep must stay bit-identical to an
-    // unprofiled serial one at any thread count.
+    // The scope sinks' non-interference contract: enabling the
+    // profiler and the tracer only reads clocks, so an instrumented
+    // sweep must stay bit-identical to an uninstrumented serial one
+    // at any thread count.
     const CarbonExplorer &ex = utahExplorer();
     const DesignSpace space = smallSpace();
     const Strategy strategy = Strategy::RenewableBatteryCas;
@@ -119,22 +123,22 @@ TEST(ParallelSweep, OptimizeBitIdenticalWithProfilerEnabled)
         unprofiled = ex.optimize(space, strategy);
     }
 
-    struct ProfilerGuard
+    struct SinksGuard
     {
-        ProfilerGuard()
+        SinksGuard() { setSinks(true); }
+        ~SinksGuard() { setSinks(false); }
+
+        static void setSinks(bool on)
         {
             auto &p = obs::PhaseProfiler::instance();
+            auto &t = obs::SpanTracer::instance();
+            p.setEnabled(on);
+            t.setEnabled(on);
             p.reset();
-            p.setEnabled(true);
-        }
-        ~ProfilerGuard()
-        {
-            auto &p = obs::PhaseProfiler::instance();
-            p.setEnabled(false);
-            p.reset();
+            t.clear();
         }
     };
-    const ProfilerGuard profiling;
+    const SinksGuard instrumented;
     for (size_t threads : {size_t{1}, size_t{2}, hardwareThreads()}) {
         const ThreadCountGuard guard(threads);
         const OptimizationResult profiled = ex.optimize(space, strategy);
@@ -142,12 +146,22 @@ TEST(ParallelSweep, OptimizeBitIdenticalWithProfilerEnabled)
         expectResultIdentical(unprofiled, profiled);
     }
 
-    // And the sweep really was profiled, not silently disabled.
+    // And the sweep really was instrumented, not silently disabled:
+    // every scope reaches both sinks, so the profile carries the
+    // kernel run and the trace the per-wave step loop.
     const obs::ProfileNode merged =
         obs::PhaseProfiler::instance().merged();
     const obs::ProfileNode *pass = merged.find("sweep/pass");
     ASSERT_NE(pass, nullptr);
     EXPECT_GE(pass->count, 3u);
+    const obs::ProfileNode *batch_run = merged.find("sim/batch_run");
+    ASSERT_NE(batch_run, nullptr);
+    EXPECT_GT(batch_run->count, 0u);
+
+    std::ostringstream trace;
+    obs::SpanTracer::instance().writeChromeTrace(trace);
+    EXPECT_NE(trace.str().find("\"sim/batch_step\""), std::string::npos);
+    EXPECT_NE(trace.str().find("\"sweep/pass\""), std::string::npos);
 }
 
 TEST(ParallelSweep, OptimizeRefinedBitIdenticalAcrossThreadCounts)

@@ -218,7 +218,7 @@ TEST(Cli, OptimizeWritesMetricsAndTraceFiles)
     EXPECT_NE(metrics.find("\"explorer.points_evaluated\""),
               std::string::npos);
     // The sweep runs on the batched SoA kernel, so the simulation
-    // counters/spans are the batch ones.
+    // counters/scopes are the batch ones.
     EXPECT_NE(metrics.find("\"sim.batch_runs\""), std::string::npos);
     EXPECT_NE(metrics.find("\"sim.batch_lanes\""), std::string::npos);
     EXPECT_NE(metrics.find("\"explorer.point_eval_us\""),
@@ -226,9 +226,13 @@ TEST(Cli, OptimizeWritesMetricsAndTraceFiles)
 
     const std::string trace = readFile(trace_path);
     EXPECT_EQ(trace.rfind("{\"traceEvents\": [", 0), 0u);
-    EXPECT_NE(trace.find("explorer/optimize"), std::string::npos);
+    EXPECT_NE(trace.find("\"sweep/pass\""), std::string::npos);
     EXPECT_NE(trace.find("grid/synthesize"), std::string::npos);
     EXPECT_NE(trace.find("sim/batch_run"), std::string::npos);
+    // Every scope feeds the trace, including the per-wave ones that
+    // only the phase profiler used to see.
+    EXPECT_NE(trace.find("\"sweep/batch\""), std::string::npos);
+    EXPECT_NE(trace.find("\"sim/batch_step\""), std::string::npos);
 
     std::remove(metrics_path.c_str());
     std::remove(trace_path.c_str());

@@ -3,7 +3,7 @@
  * Deliberately broken header used by the
  * tools.carbonx_lint_detects_profile_phase_violations ctest
  * (WILL_FAIL) to prove the profile-phase rule bites. Every
- * CARBONX_PROFILE call below violates the rule in a different way;
+ * CARBONX_SCOPE call below violates the rule in a different way;
  * the file carries a proper include guard so only the new rule
  * fires. Never include this from real code — it is linted, not
  * compiled.
@@ -18,10 +18,10 @@ namespace carbonx_lint_fixture
 inline void
 phaseViolations(const char *dynamic_name)
 {
-    CARBONX_PROFILE("fixture/phase"); // first use: fine
-    CARBONX_PROFILE("fixture/phase"); // profile-phase: duplicate
-    CARBONX_PROFILE(dynamic_name);    // profile-phase: not a literal
-    CARBONX_PROFILE("");              // profile-phase: empty name
+    CARBONX_SCOPE("fixture/phase"); // first use: fine
+    CARBONX_SCOPE("fixture/phase"); // profile-phase: duplicate
+    CARBONX_SCOPE(dynamic_name);    // profile-phase: not a literal
+    CARBONX_SCOPE("");              // profile-phase: empty name
 }
 
 } // namespace carbonx_lint_fixture

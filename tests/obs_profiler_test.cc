@@ -1,10 +1,12 @@
 /**
  * @file
- * Unit tests for the hierarchical phase profiler: nesting, counts,
- * cross-thread merge, enable/disable, reset, and JSON output.
+ * Unit tests for the hierarchical phase profiler fed by CARBONX_SCOPE:
+ * nesting, counts, cross-thread merge, enable/disable, reset, and
+ * JSON output.
  */
 
 #include "obs/profiler.h"
+#include "obs/scope.h"
 
 #include <sstream>
 #include <thread>
@@ -40,7 +42,7 @@ TEST(PhaseProfiler, DisabledByDefaultRecordsNothing)
     PhaseProfiler::instance().reset();
     ASSERT_FALSE(PhaseProfiler::instance().enabled());
     {
-        CARBONX_PROFILE("off/phase");
+        CARBONX_SCOPE("off/phase");
     }
     const ProfileNode root = PhaseProfiler::instance().merged();
     EXPECT_TRUE(root.children.empty());
@@ -50,12 +52,12 @@ TEST(PhaseProfiler, RecordsCountAndNesting)
 {
     ProfilerScope scope;
     for (int i = 0; i < 3; ++i) {
-        CARBONX_PROFILE("outer");
+        CARBONX_SCOPE("outer");
         {
-            CARBONX_PROFILE("inner");
+            CARBONX_SCOPE("inner");
         }
         {
-            CARBONX_PROFILE("inner2");
+            CARBONX_SCOPE("inner2");
         }
     }
     const ProfileNode root = PhaseProfiler::instance().merged();
@@ -79,8 +81,8 @@ TEST(PhaseProfiler, SelfTimeNeverExceedsTotal)
 {
     ProfilerScope scope;
     {
-        CARBONX_PROFILE("parent");
-        CARBONX_PROFILE("child");
+        CARBONX_SCOPE("parent");
+        CARBONX_SCOPE("child");
     }
     const ProfileNode root = PhaseProfiler::instance().merged();
     const ProfileNode *parent = root.find("parent");
@@ -100,7 +102,7 @@ TEST(PhaseProfiler, MinMaxBracketEachOccurrence)
 {
     ProfilerScope scope;
     for (int i = 0; i < 5; ++i) {
-        CARBONX_PROFILE("bracketed");
+        CARBONX_SCOPE("bracketed");
     }
     const ProfileNode root = PhaseProfiler::instance().merged();
     const ProfileNode *node = root.find("bracketed");
@@ -115,11 +117,11 @@ TEST(PhaseProfiler, MergesAcrossThreads)
 {
     ProfilerScope scope;
     {
-        CARBONX_PROFILE("main/phase");
+        CARBONX_SCOPE("main/phase");
     }
     std::thread worker([] {
         for (int i = 0; i < 2; ++i) {
-            CARBONX_PROFILE("worker/phase");
+            CARBONX_SCOPE("worker/phase");
         }
     });
     worker.join();
@@ -140,7 +142,7 @@ TEST(PhaseProfiler, MergesIdenticalPhasesFromParallelWorkers)
     ProfilerScope scope;
     setThreadCount(4);
     parallelFor(0, 64, 1, [](size_t, size_t) {
-        CARBONX_PROFILE("pool/phase");
+        CARBONX_SCOPE("pool/phase");
     });
     setThreadCount(1);
     const ProfileNode root = PhaseProfiler::instance().merged();
@@ -154,7 +156,7 @@ TEST(PhaseProfiler, ResetClearsAllTrees)
 {
     ProfilerScope scope;
     {
-        CARBONX_PROFILE("to/be/cleared");
+        CARBONX_SCOPE("to/be/cleared");
     }
     PhaseProfiler::instance().reset();
     const ProfileNode root = PhaseProfiler::instance().merged();
@@ -166,8 +168,8 @@ TEST(PhaseProfiler, WriteTextListsPhases)
 {
     ProfilerScope scope;
     {
-        CARBONX_PROFILE("text/outer");
-        CARBONX_PROFILE("text/inner");
+        CARBONX_SCOPE("text/outer");
+        CARBONX_SCOPE("text/inner");
     }
     std::ostringstream os;
     PhaseProfiler::instance().writeText(os);
@@ -180,8 +182,8 @@ TEST(PhaseProfiler, WriteJsonIsWellFormed)
 {
     ProfilerScope scope;
     {
-        CARBONX_PROFILE("json/outer");
-        CARBONX_PROFILE("json/inner");
+        CARBONX_SCOPE("json/outer");
+        CARBONX_SCOPE("json/inner");
     }
     std::ostringstream os;
     PhaseProfiler::instance().writeJson(os);
@@ -203,12 +205,12 @@ TEST(PhaseProfiler, WriteJsonIsWellFormed)
     EXPECT_EQ(depth, 0);
 }
 
-TEST(PhaseProfiler, ScopedPhaseCapturesEnabledAtConstruction)
+TEST(PhaseProfiler, ScopeCapturesEnabledAtConstruction)
 {
     PhaseProfiler::instance().reset();
     PhaseProfiler::instance().setEnabled(false);
     {
-        CARBONX_PROFILE("toggled/phase");
+        CARBONX_SCOPE("toggled/phase");
         // Enabling mid-scope must not make the destructor record a
         // phase it never opened.
         PhaseProfiler::instance().setEnabled(true);

@@ -1,17 +1,22 @@
 /**
  * @file
- * Tests of the span tracer: disabled-by-default no-op behaviour, span
- * nesting, and the Chrome trace_event JSON export.
+ * Tests of CARBONX_SCOPE and its trace sink: disabled-by-default no-op
+ * behaviour, nesting, the Chrome trace_event JSON export, and which
+ * sinks a scope reports to as each is switched on or off.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/profiler.h"
+#include "obs/scope.h"
 #include "obs/trace.h"
 
 namespace carbonx::obs
@@ -25,6 +30,7 @@ struct ParsedEvent
     std::string name;
     uint64_t ts = 0;
     uint64_t dur = 0;
+    uint64_t tid = 0;
     uint64_t end() const { return ts + dur; }
 };
 
@@ -57,25 +63,45 @@ parseTrace(const std::string &json)
                              line.find('"', name_start) - name_start);
         e.ts = numberAfter(line, "ts");
         e.dur = numberAfter(line, "dur");
+        e.tid = numberAfter(line, "tid");
         events.push_back(std::move(e));
     }
     return events;
 }
 
-/** Fresh tracer state for every test; registries are process-wide. */
+std::string
+chromeTrace()
+{
+    std::ostringstream os;
+    SpanTracer::instance().writeChromeTrace(os);
+    return os.str();
+}
+
+/** Times @p name entered the merged profile (0 when absent). */
+uint64_t
+profiledCount(const std::string &name)
+{
+    const ProfileNode root = PhaseProfiler::instance().merged();
+    const ProfileNode *node = root.find(name);
+    return node == nullptr ? 0 : node->count;
+}
+
+/**
+ * Both sinks off and empty for every test; the sinks are
+ * process-wide.
+ */
 class Trace : public ::testing::Test
 {
   protected:
-    void SetUp() override
-    {
-        SpanTracer::instance().setEnabled(false);
-        SpanTracer::instance().clear();
-    }
+    void SetUp() override { resetSinks(); }
+    void TearDown() override { resetSinks(); }
 
-    void TearDown() override
+    static void resetSinks()
     {
         SpanTracer::instance().setEnabled(false);
         SpanTracer::instance().clear();
+        PhaseProfiler::instance().setEnabled(false);
+        PhaseProfiler::instance().reset();
     }
 };
 
@@ -84,32 +110,11 @@ TEST_F(Trace, DisabledTracerRecordsNothing)
     auto &tracer = SpanTracer::instance();
     ASSERT_FALSE(tracer.enabled());
     {
-        CARBONX_SPAN("test/disabled_outer");
-        CARBONX_SPAN("test/disabled_inner");
-        EXPECT_EQ(tracer.openSpanDepth(), 0u);
+        CARBONX_SCOPE("test/disabled_outer");
+        CARBONX_SCOPE("test/disabled_inner");
     }
     EXPECT_EQ(tracer.eventCount(), 0u);
-
-    std::ostringstream os;
-    tracer.writeChromeTrace(os);
-    EXPECT_TRUE(parseTrace(os.str()).empty());
-}
-
-TEST_F(Trace, ConditionGateSuppressesSpan)
-{
-    auto &tracer = SpanTracer::instance();
-    tracer.setEnabled(true);
-    {
-        ScopedSpan skipped("test/condition_false", false);
-        ScopedSpan taken("test/condition_true", true);
-        EXPECT_EQ(tracer.openSpanDepth(), 1u);
-    }
-    ASSERT_EQ(tracer.eventCount(), 1u);
-
-    std::ostringstream os;
-    tracer.writeChromeTrace(os);
-    EXPECT_NE(os.str().find("test/condition_true"), std::string::npos);
-    EXPECT_EQ(os.str().find("test/condition_false"), std::string::npos);
+    EXPECT_TRUE(parseTrace(chromeTrace()).empty());
 }
 
 TEST_F(Trace, NestedSpansAreContainedInTheirParent)
@@ -117,21 +122,20 @@ TEST_F(Trace, NestedSpansAreContainedInTheirParent)
     auto &tracer = SpanTracer::instance();
     tracer.setEnabled(true);
     {
-        CARBONX_SPAN("test/outer");
+        CARBONX_SCOPE("test/outer");
         {
-            CARBONX_SPAN("test/middle");
+            CARBONX_SCOPE("test/middle");
             {
-                CARBONX_SPAN("test/inner");
-                EXPECT_EQ(tracer.openSpanDepth(), 3u);
+                CARBONX_SCOPE("test/inner");
+                // A scope reports only when it closes.
+                EXPECT_EQ(tracer.eventCount(), 0u);
             }
+            EXPECT_EQ(tracer.eventCount(), 1u);
         }
     }
-    EXPECT_EQ(tracer.openSpanDepth(), 0u);
     ASSERT_EQ(tracer.eventCount(), 3u);
 
-    std::ostringstream os;
-    tracer.writeChromeTrace(os);
-    auto events = parseTrace(os.str());
+    auto events = parseTrace(chromeTrace());
     ASSERT_EQ(events.size(), 3u);
 
     const auto byName = [&](const std::string &name) {
@@ -160,15 +164,13 @@ TEST_F(Trace, ChromeTraceJsonIsWellFormed)
     auto &tracer = SpanTracer::instance();
     tracer.setEnabled(true);
     {
-        CARBONX_SPAN("test/json \"quoted\"");
+        CARBONX_SCOPE("test/json \"quoted\"");
     }
     {
-        CARBONX_SPAN("test/json_second");
+        CARBONX_SCOPE("test/json_second");
     }
 
-    std::ostringstream os;
-    tracer.writeChromeTrace(os);
-    const std::string json = os.str();
+    const std::string json = chromeTrace();
 
     EXPECT_EQ(json.rfind("{\"traceEvents\": [", 0), 0u);
     EXPECT_NE(json.find("\"displayTimeUnit\": \"ms\""),
@@ -191,13 +193,13 @@ TEST_F(Trace, DisablingMidSpanStillClosesIt)
     auto &tracer = SpanTracer::instance();
     tracer.setEnabled(true);
     {
-        CARBONX_SPAN("test/toggled");
+        CARBONX_SCOPE("test/toggled");
         tracer.setEnabled(false);
     }
-    // The span captured "enabled" at construction, so it must close
+    // The scope captured "enabled" at construction, so it must close
     // cleanly and still record its event.
-    EXPECT_EQ(tracer.openSpanDepth(), 0u);
-    EXPECT_EQ(tracer.eventCount(), 1u);
+    ASSERT_EQ(tracer.eventCount(), 1u);
+    EXPECT_EQ(parseTrace(chromeTrace())[0].name, "test/toggled");
 }
 
 TEST_F(Trace, ThreadsGetDistinctSpanStacks)
@@ -209,17 +211,34 @@ TEST_F(Trace, ThreadsGetDistinctSpanStacks)
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&tracer] {
-            CARBONX_SPAN("test/thread_outer");
-            CARBONX_SPAN("test/thread_inner");
-            EXPECT_EQ(tracer.openSpanDepth(), 2u);
+        threads.emplace_back([] {
+            CARBONX_SCOPE("test/thread_outer");
+            CARBONX_SCOPE("test/thread_inner");
         });
     }
     for (auto &thread : threads)
         thread.join();
 
-    EXPECT_EQ(tracer.openSpanDepth(), 0u);
-    EXPECT_EQ(tracer.eventCount(), 2u * kThreads);
+    ASSERT_EQ(tracer.eventCount(), 2u * kThreads);
+    // Each thread closed exactly one outer and one inner scope, on
+    // its own track, with the inner contained in the outer.
+    const auto events = parseTrace(chromeTrace());
+    std::vector<uint64_t> tids;
+    for (const ParsedEvent &outer : events) {
+        if (outer.name != "test/thread_outer")
+            continue;
+        tids.push_back(outer.tid);
+        const auto inner = std::find_if(
+            events.begin(), events.end(), [&](const ParsedEvent &e) {
+                return e.name == "test/thread_inner" && e.tid == outer.tid;
+            });
+        ASSERT_NE(inner, events.end());
+        EXPECT_LE(outer.ts, inner->ts);
+        EXPECT_LE(inner->end(), outer.end());
+    }
+    std::sort(tids.begin(), tids.end());
+    EXPECT_EQ(std::unique(tids.begin(), tids.end()) - tids.begin(),
+              kThreads);
 }
 
 TEST_F(Trace, HostileSpanAndCounterNamesStayValidJson)
@@ -231,7 +250,7 @@ TEST_F(Trace, HostileSpanAndCounterNamesStayValidJson)
     const std::string hostile =
         "test/\"quote\\back\\\\slash\nnewline\ttab\x01" "ctl";
     {
-        ScopedSpan span(hostile.c_str(), true);
+        const Scope scope(hostile.c_str());
     }
     tracer.addCounterTrack(hostile + "/counter", {1.0, 2.0, 3.0});
 
@@ -265,11 +284,80 @@ TEST_F(Trace, ClearDropsRecordedEvents)
     auto &tracer = SpanTracer::instance();
     tracer.setEnabled(true);
     {
-        CARBONX_SPAN("test/cleared");
+        CARBONX_SCOPE("test/cleared");
     }
     ASSERT_EQ(tracer.eventCount(), 1u);
     tracer.clear();
     EXPECT_EQ(tracer.eventCount(), 0u);
+}
+
+TEST_F(Trace, ScopeReachesOnlyTheSinksOnAtOpen)
+{
+    struct Case
+    {
+        bool trace;
+        bool profile;
+    };
+    for (const Case c : {Case{false, false}, Case{true, false},
+                         Case{false, true}, Case{true, true}}) {
+        SCOPED_TRACE(::testing::Message() << "trace=" << c.trace
+                                          << " profile=" << c.profile);
+        resetSinks();
+        SpanTracer::instance().setEnabled(c.trace);
+        PhaseProfiler::instance().setEnabled(c.profile);
+        {
+            CARBONX_SCOPE("sinks/case");
+        }
+        EXPECT_EQ(SpanTracer::instance().eventCount(), c.trace ? 1u : 0u);
+        EXPECT_EQ(profiledCount("sinks/case"), c.profile ? 1u : 0u);
+    }
+}
+
+TEST_F(Trace, BothSinksShareOneClockPair)
+{
+    SpanTracer::instance().setEnabled(true);
+    PhaseProfiler::instance().setEnabled(true);
+    {
+        CARBONX_SCOPE("sinks/both");
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    const auto events = parseTrace(chromeTrace());
+    ASSERT_EQ(events.size(), 1u);
+    const ProfileNode root = PhaseProfiler::instance().merged();
+    const ProfileNode *node = root.find("sinks/both");
+    ASSERT_NE(node, nullptr);
+    // One clock pair feeds both sinks: the event's whole-microsecond
+    // endpoints bracket the profiler's exact nanoseconds to within one
+    // microsecond.
+    const auto dur_ns = static_cast<int64_t>(events[0].dur * 1000);
+    const auto total_ns = static_cast<int64_t>(node->total_ns);
+    EXPECT_GE(total_ns, 2'000'000);
+    EXPECT_LT(std::abs(dur_ns - total_ns), 1000);
+}
+
+TEST_F(Trace, SinkToggledMidScopeKeepsTheSinksOnAtOpen)
+{
+    SpanTracer::instance().setEnabled(true);
+    {
+        CARBONX_SCOPE("sinks/toggled");
+        // Swap which sink is on: the open scope still reports to the
+        // tracer only, and neither sink is left unbalanced.
+        SpanTracer::instance().setEnabled(false);
+        PhaseProfiler::instance().setEnabled(true);
+    }
+    EXPECT_EQ(SpanTracer::instance().eventCount(), 1u);
+    EXPECT_EQ(profiledCount("sinks/toggled"), 0u);
+
+    // A scope opened after the swap goes to the profiler only, at the
+    // top of the tree: the toggled scope left no cursor behind.
+    {
+        CARBONX_SCOPE("sinks/after_toggle");
+    }
+    EXPECT_EQ(SpanTracer::instance().eventCount(), 1u);
+    const ProfileNode root = PhaseProfiler::instance().merged();
+    ASSERT_EQ(root.children.size(), 1u);
+    EXPECT_EQ(root.children[0].name, "sinks/after_toggle");
+    EXPECT_EQ(root.children[0].count, 1u);
 }
 
 } // namespace

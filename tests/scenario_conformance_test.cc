@@ -204,7 +204,12 @@ class ScenarioConformanceTest : public testing::Test
         EXPECT_EQ(run.scenario_id, s.id);
         EXPECT_EQ(run.scenario_digest, s.digest());
         EXPECT_EQ(run.mode, s.mode);
-        EXPECT_GT(run.lattice_points, 0u) << s.id;
+        EXPECT_GT(run.stats.lattice_points, 0u) << s.id;
+        // Every lattice point of every pass is either evaluated or
+        // skipped, so the report's lattice line adds up.
+        EXPECT_EQ(run.result.evaluated.size() + run.stats.points_skipped,
+                  run.stats.lattice_points)
+            << s.id;
 
         checkEvaluationInvariants(s, run.result);
 

@@ -75,12 +75,18 @@ expectDriversAgree(const Scenario &s)
     // only a subset of the lattice).
     EXPECT_EQ(frontOf(a.result), frontOf(b.result)) << s.id;
 
-    // Both modes saw the same lattice.
-    EXPECT_EQ(a.lattice_points, b.lattice_points) << s.id;
+    // Both modes saw the same lattice, and in each every point of
+    // every pass was either evaluated or skipped.
+    EXPECT_EQ(a.stats.lattice_points, b.stats.lattice_points) << s.id;
+    for (const ScenarioRunResult *run : {&a, &b}) {
+        EXPECT_EQ(run->result.evaluated.size() + run->stats.points_skipped,
+                  run->stats.lattice_points)
+            << s.id;
+    }
 
     // And the adaptive run must actually have skipped work on any
     // non-trivial lattice, or it is not earning its complexity.
-    if (b.lattice_points > 200 && s.refine_rounds == 0) {
+    if (b.stats.lattice_points > 200 && s.refine_rounds == 0) {
         EXPECT_GT(b.stats.points_skipped, 0u) << s.id;
     }
 }
@@ -146,12 +152,12 @@ TEST(ScenarioDifferential, WarmExhaustiveRunReportsCacheHitsNotSimulations)
     ScenarioRunOptions opts;
     opts.cache_dir = testsupport::uniqueTestDir() + "cache";
     const ScenarioRunResult cold = runScenario(s, opts);
-    EXPECT_EQ(cold.stats.simulated_points, cold.lattice_points);
+    EXPECT_EQ(cold.stats.simulated_points, cold.stats.lattice_points);
     EXPECT_EQ(cold.stats.cache_hits, 0u);
 
     const ScenarioRunResult warm = runScenario(s, opts);
     EXPECT_EQ(warm.stats.simulated_points, 0u);
-    EXPECT_EQ(warm.stats.cache_hits, warm.lattice_points);
+    EXPECT_EQ(warm.stats.cache_hits, warm.stats.lattice_points);
     EXPECT_EQ(warm.stats.points_skipped, 0u);
     EXPECT_EQ(keyOf(warm.result.best), keyOf(cold.result.best));
     EXPECT_EQ(warm.result.evaluated.size(), cold.result.evaluated.size());

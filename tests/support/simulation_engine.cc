@@ -6,10 +6,7 @@
 
 #include "common/error.h"
 #include "common/tolerances.h"
-#include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "obs/recorder.h"
-#include "obs/trace.h"
 
 namespace carbonx
 {
@@ -61,13 +58,6 @@ SimulationEngine::runImpl(const SimulationConfig &config,
                           SimulationResult &result,
                           SimulationScratch &scratch) const
 {
-    CARBONX_SPAN("sim/run");
-    CARBONX_PROFILE("sim/run");
-    static auto &c_runs = obs::counter("sim.runs");
-    static auto &c_hours = obs::counter("sim.hours_simulated");
-    static auto &h_run = obs::latency("sim.run_us");
-    const obs::LatencyTimer run_timer(h_run);
-
     require(config.capacity_cap_mw.value() >=
                 dc_power_.max() - kCapacityCapSlackMw,
             "capacity cap below the load peak");
@@ -125,11 +115,6 @@ SimulationEngine::runImpl(const SimulationConfig &config,
     backlog.clear();
     // carbonx-lint: allow(raw-unit-double) hot-loop accumulator
     double backlog_mwh = 0.0;
-
-    // The battery-stepping portion of the hourly loop gets its own
-    // nested span so traces attribute storage cost separately.
-    CARBONX_SPAN("sim/hourly_loop");
-    CARBONX_SPAN("battery/clc_step_loop", battery != nullptr);
 
     for (size_t h = 0; h < n; ++h) {
         const double load = dc_power_[h];
@@ -309,9 +294,6 @@ SimulationEngine::runImpl(const SimulationConfig &config,
             prev_violation = result.slo_violation_mwh.value();
         }
     }
-
-    c_runs.increment();
-    c_hours.increment(n);
 
     result.residual_backlog_mwh = MegaWattHours(backlog_mwh);
     result.peak_power_mw = MegaWatts(result.served_power.max());

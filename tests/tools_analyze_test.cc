@@ -68,15 +68,15 @@ TEST(HotPathAllocTest, ColdCodeIsNotFlagged)
 TEST(HotPathAllocTest, HotProfilePhaseMakesEnclosingBlockHot)
 {
     const std::string src = "void f() {\n"
-                            "    CARBONX_PROFILE(\"sim/step\");\n"
+                            "    CARBONX_SCOPE(\"sim/step\");\n"
                             "    std::string s;\n"
                             "}\n"
                             "void g() {\n"
-                            "    CARBONX_PROFILE(\"report/emit\");\n"
+                            "    CARBONX_SCOPE(\"report/emit\");\n"
                             "    std::string t;\n"
                             "}\n";
     const auto diags = lintAs("src/core/phases.cc", src);
-    // Only the sim/ phase is a hot phase; report/emit is not.
+    // Only the sim/ scope is hot; report/emit is not.
     ASSERT_EQ(countRule(diags, carbonx::lint::kRuleHotPathAlloc), 1u);
     EXPECT_EQ(diags[0].line, 3u);
 }

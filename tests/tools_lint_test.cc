@@ -264,10 +264,10 @@ TEST(LintProfilePhase, FlagsDuplicateDynamicAndEmptyNames)
 {
     const auto diags = lintSource(
         "src/core/x.cc",
-        "CARBONX_PROFILE(\"sweep/pass\");\n"
-        "CARBONX_PROFILE(\"sweep/pass\");\n"
-        "CARBONX_PROFILE(dynamic_name);\n"
-        "CARBONX_PROFILE(\"\");\n");
+        "CARBONX_SCOPE(\"sweep/pass\");\n"
+        "CARBONX_SCOPE(\"sweep/pass\");\n"
+        "CARBONX_SCOPE(dynamic_name);\n"
+        "CARBONX_SCOPE(\"\");\n");
     ASSERT_EQ(countRule(diags, lint::kRuleProfilePhase), 3u);
     EXPECT_EQ(diags[0].line, 2u);
     EXPECT_NE(diags[0].message.find("duplicate"), std::string::npos);
@@ -287,16 +287,16 @@ TEST(LintProfilePhase, CleanUsageMacroDefinitionAndCommentsPass)
     // comments or strings must not register as call sites.
     const std::string src =
         std::string(kGuard) +
-        "#define CARBONX_PROFILE_CONCAT2(a, b) a##b\n"
-        "#define CARBONX_PROFILE(name)                            \\\n"
-        "    ::carbonx::obs::ScopedPhase CARBONX_PROFILE_CONCAT(  \\\n"
-        "        carbonx_phase_, __LINE__)(name)\n"
-        "// CARBONX_PROFILE(\"in/a/comment\");\n"
+        "#define CARBONX_SCOPE_CONCAT2(a, b) a##b\n"
+        "#define CARBONX_SCOPE(name)                              \\\n"
+        "    ::carbonx::obs::Scope CARBONX_SCOPE_CONCAT(          \\\n"
+        "        carbonx_scope_, __LINE__)(name)\n"
+        "// CARBONX_SCOPE(\"in/a/comment\");\n"
         "inline void f()\n"
         "{\n"
-        "    CARBONX_PROFILE(\"phase/one\");\n"
-        "    CARBONX_PROFILE(\"phase/two\");\n"
-        "    const char *s = \"CARBONX_PROFILE(nope)\";\n"
+        "    CARBONX_SCOPE(\"phase/one\");\n"
+        "    CARBONX_SCOPE(\"phase/two\");\n"
+        "    const char *s = \"CARBONX_SCOPE(nope)\";\n"
         "    (void)s;\n"
         "}\n"
         "#endif\n";
@@ -312,17 +312,17 @@ TEST(LintProfilePhase, CrossFileDuplicatesPointAtFirstUse)
     std::vector<std::pair<std::string, std::vector<PhaseUse>>> per_file;
     per_file.emplace_back(
         "src/core/a.cc",
-        collectProfilePhases("CARBONX_PROFILE(\"shared/phase\");\n"
-                             "CARBONX_PROFILE(\"a/only\");\n"));
+        collectProfilePhases("CARBONX_SCOPE(\"shared/phase\");\n"
+                             "CARBONX_SCOPE(\"a/only\");\n"));
     per_file.emplace_back(
         "src/core/b.cc",
-        collectProfilePhases("CARBONX_PROFILE(\"shared/phase\");\n"));
+        collectProfilePhases("CARBONX_SCOPE(\"shared/phase\");\n"));
     // An in-file duplicate is lintSource's finding, not a cross-file
     // one — it must not be re-reported by the aggregate pass.
     per_file.emplace_back(
         "src/core/c.cc",
-        collectProfilePhases("CARBONX_PROFILE(\"c/dup\");\n"
-                             "CARBONX_PROFILE(\"c/dup\");\n"));
+        collectProfilePhases("CARBONX_SCOPE(\"c/dup\");\n"
+                             "CARBONX_SCOPE(\"c/dup\");\n"));
 
     const auto diags = lint::crossFilePhaseDuplicates(per_file);
     ASSERT_EQ(diags.size(), 1u);
@@ -337,7 +337,7 @@ TEST(LintProfilePhase, AllowSuppressionHidesSiteFromBothChecks)
 {
     const std::string src =
         "// carbonx-lint: allow(profile-phase) generated name\n"
-        "CARBONX_PROFILE(dynamic_name);\n";
+        "CARBONX_SCOPE(dynamic_name);\n";
     EXPECT_TRUE(lintSource("src/core/x.cc", src).empty());
     // The collector drops the waived site too, so it can never feed
     // the cross-file duplicate check.

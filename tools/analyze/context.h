@@ -7,7 +7,7 @@
  * `// carbonx-lint: allow(rule)` comments, the path-derived policy
  * (FileKind), and the file's *hot regions* — token ranges inside
  * functions annotated `// carbonx-hot` or containing a
- * CARBONX_PROFILE phase from the batch/sim hot set. Every rule in
+ * CARBONX_SCOPE from the batch/sim hot set. Every rule in
  * analyze/registry.h receives the same context, so the file is lexed
  * exactly once no matter how many rules run.
  */
@@ -314,7 +314,7 @@ struct FileContext
 namespace detail
 {
 
-/** Is @p phase one of the warm hot-path profiler phases? */
+/** Is @p phase one of the warm hot-path scope names? */
 inline bool
 isHotPhaseName(const std::string &phase)
 {
@@ -324,8 +324,8 @@ isHotPhaseName(const std::string &phase)
 
 /**
  * Hot regions: for every `// carbonx-hot` comment, the next brace
- * block; for every CARBONX_PROFILE("<hot phase>") call, the
- * innermost enclosing brace block (the exact scope the profiler
+ * block; for every CARBONX_SCOPE("<hot name>") call, the
+ * innermost enclosing brace block (the exact block the scope
  * measures). Regions are token-index ranges into ctx.ts.tokens.
  */
 inline std::vector<HotRegion>
@@ -365,10 +365,10 @@ findHotRegions(const lex::TokenStream &ts)
         regions.push_back(HotRegion{open, it->second, std::move(why)});
     };
 
-    // CARBONX_PROFILE("<hot phase>") -> enclosing block.
+    // CARBONX_SCOPE("<hot name>") -> enclosing block.
     for (size_t i = 0; i + 2 < toks.size(); ++i) {
         if (toks[i].kind != lex::TokKind::Ident ||
-            toks[i].text != "CARBONX_PROFILE")
+            toks[i].text != "CARBONX_SCOPE")
             continue;
         if (toks[i + 1].text != "(" ||
             toks[i + 2].kind != lex::TokKind::String)

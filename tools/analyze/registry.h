@@ -70,12 +70,12 @@ ruleTable()
          "src/scheduler and src/obs; consumers read",
          &rules::checkRecorderWrite},
         {kRuleProfilePhase, Severity::Error,
-         "CARBONX_PROFILE phase names must be single same-line "
+         "CARBONX_SCOPE names must be single same-line "
          "string literals, non-empty and unique",
          &rules::checkProfilePhase},
         {kRuleHotPathAlloc, Severity::Error,
          "no new / std::string construction / un-reserved growth "
-         "inside carbonx-hot or batch/sim-profiled hot regions",
+         "inside carbonx-hot or batch/sim-scoped hot regions",
          &rules::checkHotPathAlloc},
         {kRuleDeterminism, Severity::Error,
          "no rand/random_device/wall-clock reads outside common/rng "

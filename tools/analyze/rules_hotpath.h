@@ -9,7 +9,7 @@
  * sweep. The runtime tests catch that after the fact; this rule
  * rejects the patterns at lint time, inside *hot regions* only — a
  * function annotated `// carbonx-hot` or containing a
- * CARBONX_PROFILE batch/sim phase (see context.h).
+ * CARBONX_SCOPE with a batch/sim name (see context.h).
  *
  * Flagged inside a hot region:
  *   - `new` (any form; the hot path owns no allocations);

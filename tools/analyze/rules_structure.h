@@ -6,7 +6,7 @@
  *                         CARBONX_*_H #ifndef/#define pair;
  *   recorder-field-write  HourlyRecord flight-recording fields are
  *                         written only by src/scheduler + src/obs;
- *   profile-phase         CARBONX_PROFILE phase names must be single
+ *   profile-phase         CARBONX_SCOPE names must be single
  *                         same-line string literals, non-empty, and
  *                         unique (in-file here; tree-wide via
  *                         crossFilePhaseDuplicates in the driver).
@@ -29,7 +29,7 @@ namespace carbonx
 namespace lint
 {
 
-/** One CARBONX_PROFILE(...) call site found in a source file. */
+/** One CARBONX_SCOPE(...) call site found in a source file. */
 struct PhaseUse
 {
     /** Literal contents; only meaningful when is_literal is set. */
@@ -40,7 +40,7 @@ struct PhaseUse
 };
 
 /**
- * Collect every CARBONX_PROFILE call site in @p source. The macro's
+ * Collect every CARBONX_SCOPE call site in @p source. The macro's
  * own #define lives in a preprocessor directive and is never
  * tokenized; comments and strings likewise. Sites waived with
  * `carbonx-lint: allow(profile-phase)` are invisible to both the
@@ -58,7 +58,7 @@ collectProfilePhases(const std::string &source)
     const std::vector<lex::Token> &toks = ts.tokens;
     for (size_t i = 0; i + 1 < toks.size(); ++i) {
         if (toks[i].kind != lex::TokKind::Ident ||
-            toks[i].text != "CARBONX_PROFILE")
+            toks[i].text != "CARBONX_SCOPE")
             continue;
         if (toks[i + 1].kind != lex::TokKind::Punct ||
             toks[i + 1].text != "(")
@@ -82,7 +82,7 @@ collectProfilePhases(const std::string &source)
 }
 
 /**
- * Cross-file phase-name uniqueness for the carbonx_lint driver. Feed
+ * Cross-file scope-name uniqueness for the carbonx_lint driver. Feed
  * one entry per linted file (path + its collectProfilePhases result),
  * in the order the files were scanned. Duplicates *within* one file
  * are the profile-phase per-file rule's job and are not re-reported
@@ -106,10 +106,10 @@ crossFilePhaseDuplicates(
             if (!inserted && it->second.first != file) {
                 diags.push_back(Diagnostic{
                     file, use.line, kRuleProfilePhase,
-                    "phase name \"" + use.name +
+                    "scope name \"" + use.name +
                         "\" already used at " + it->second.first +
                         ":" + std::to_string(it->second.second) +
-                        "; CARBONX_PROFILE names must be unique "
+                        "; CARBONX_SCOPE names must be unique "
                         "across the tree",
                     Severity::Error});
             }
@@ -209,7 +209,7 @@ checkRecorderWrite(const FileContext &ctx,
     }
 }
 
-/** profile-phase: literal, non-empty, in-file-unique phase names. */
+/** profile-phase: literal, non-empty, in-file-unique scope names. */
 inline void
 checkProfilePhase(const FileContext &ctx,
                   std::vector<Diagnostic> &out)
@@ -219,14 +219,14 @@ checkProfilePhase(const FileContext &ctx,
         if (!use.is_literal) {
             ctx.report(out, use.line, kRuleProfilePhase,
                        Severity::Error,
-                       "CARBONX_PROFILE argument must be a single "
+                       "CARBONX_SCOPE argument must be a single "
                        "string literal on the call line");
             continue;
         }
         if (use.name.empty()) {
             ctx.report(out, use.line, kRuleProfilePhase,
                        Severity::Error,
-                       "CARBONX_PROFILE phase name must not be empty");
+                       "CARBONX_SCOPE name must not be empty");
             continue;
         }
         const auto [it, inserted] =
@@ -234,10 +234,10 @@ checkProfilePhase(const FileContext &ctx,
         if (!inserted) {
             ctx.report(out, use.line, kRuleProfilePhase,
                        Severity::Error,
-                       "duplicate phase name \"" + use.name +
+                       "duplicate scope name \"" + use.name +
                            "\" (first used at line " +
                            std::to_string(it->second) +
-                           "); CARBONX_PROFILE names must be unique");
+                           "); CARBONX_SCOPE names must be unique");
         }
     }
 }

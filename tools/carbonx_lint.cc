@@ -27,7 +27,7 @@
  *
  * Directories are walked recursively for *.h, *.cc, and *.cpp files.
  * Policy is derived from each file's path (see lint::classify).
- * CARBONX_PROFILE phase names are checked for uniqueness across
+ * CARBONX_SCOPE names are checked for uniqueness across
  * every file scanned in one invocation. Individual sites are waived
  * with a `// carbonx-lint: allow(rule)` comment on or above the
  * line.
@@ -293,7 +293,7 @@ main(int argc, char **argv)
             file, carbonx::lint::collectProfilePhases(contents));
     }
 
-    // Profile phase names must be unique tree-wide, not just within
+    // Scope names must be unique tree-wide, not just within
     // each file; in-file duplicates were already reported above.
     for (const auto &d :
          carbonx::lint::crossFilePhaseDuplicates(phase_uses))
