@@ -27,9 +27,11 @@
 #ifndef CARBONX_OBS_AUDIT_H
 #define CARBONX_OBS_AUDIT_H
 
+#include <array>
 #include <cstddef>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/recorder.h"
@@ -57,21 +59,47 @@ struct AuditContext
     double reported_operational_kg = 0.0;
 };
 
-/** One broken invariant at one hour (or SIZE_MAX for year totals). */
+/** The individual checks the auditor evaluates, in evaluation order. */
+enum class AuditCheck : unsigned char
+{
+    EnergyBalance,        ///< supplied == consumed.
+    SocBelowZero,         ///< Battery content >= 0.
+    SocAboveCapacity,     ///< Battery content <= capacity.
+    CapacityCap,          ///< Served power <= cap.
+    Curtailment,          ///< curtailed == renewable - used, >= 0.
+    BacklogNegative,      ///< Backlog >= 0.
+    BacklogGrew,          ///< Backlog grows at most by what shifted in.
+    NonNegativeFlows,     ///< Every flow column >= 0.
+    YearEndBacklog,       ///< Final backlog == reported residual.
+    CarbonReconciliation, ///< Hourly carbon sums to the reported total.
+};
+
+/**
+ * One broken invariant at one hour (or SIZE_MAX for year totals).
+ * A violation stores only the check and the magnitudes it failed on;
+ * its text is built on demand, so a clean audit formats nothing.
+ */
 struct InvariantViolation
 {
     /** Hour index, or SIZE_MAX for whole-year checks. */
     size_t hour = 0;
 
-    /** Invariant name, e.g. "energy-balance". */
-    std::string invariant;
+    /** The check that failed. */
+    AuditCheck check = AuditCheck::EnergyBalance;
 
-    /** Human-readable description with the offending magnitudes. */
-    std::string message;
+    /** Magnitudes the message quotes, in message order (unused = 0). */
+    std::array<double, 3> operands{};
 
     /** How far past the tolerance the check landed (same unit). */
     double excess = 0.0;
 
+    /** Invariant name, e.g. "energy-balance" (shared by sibling checks). */
+    std::string_view invariant() const;
+
+    /**
+     * "hour H: [invariant] description" (or "year-total: ..."), the
+     * description quoting the operands.
+     */
     std::string format() const;
 };
 
@@ -97,7 +125,10 @@ struct AuditReport
 
 /**
  * Replay @p recording against @p context and check every invariant.
- * Never throws on a dirty recording — violations are data.
+ * Never throws on a dirty recording — violations are data. Evaluates
+ * 8 checks per hour plus one year-total backlog check (when there are
+ * hours) and one carbon reconciliation (when the recording has
+ * carbon); a clean recording is audited without a heap allocation.
  */
 AuditReport auditRecording(const FlightRecorder &recording,
                            const AuditContext &context);

@@ -114,6 +114,24 @@ TEST(Cli, NoArgsPrintsUsage)
     EXPECT_NE(run.output.find("usage:"), std::string::npos);
 }
 
+TEST(Cli, HelpPrintsUsageWithoutRunningTheSubcommand)
+{
+    REQUIRE_CLI();
+    const std::string report = "cli_help_bench.json";
+    std::remove(report.c_str());
+    const CliRun run = runCli("bench --help --out " + report);
+    EXPECT_EQ(run.exit_code, 0);
+    EXPECT_NE(run.output.find("usage:"), std::string::npos);
+    EXPECT_EQ(run.output.find("bench: report written"),
+              std::string::npos);
+    std::FILE *f = std::fopen(report.c_str(), "rb");
+    EXPECT_EQ(f, nullptr) << "bench ran despite --help";
+    if (f != nullptr) {
+        std::fclose(f);
+        std::remove(report.c_str());
+    }
+}
+
 TEST(Cli, UnknownCommandFails)
 {
     REQUIRE_CLI();

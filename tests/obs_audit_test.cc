@@ -12,8 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/explorer.h"
 #include "obs/audit.h"
@@ -57,7 +59,7 @@ countInvariant(const obs::AuditReport &report, const std::string &name)
     return static_cast<size_t>(std::count_if(
         report.violations.begin(), report.violations.end(),
         [&](const obs::InvariantViolation &v) {
-            return v.invariant == name;
+            return v.invariant() == name;
         }));
 }
 
@@ -98,7 +100,7 @@ TEST(InvariantAuditor, EnergyBalanceTampersAreCaught)
     const auto hit = std::find_if(
         report.violations.begin(), report.violations.end(),
         [](const obs::InvariantViolation &v) {
-            return v.invariant == "energy-balance";
+            return v.invariant() == "energy-balance";
         });
     ASSERT_NE(hit, report.violations.end());
     EXPECT_EQ(hit->hour, 10u);
@@ -228,6 +230,121 @@ TEST(InvariantAuditor, ReportWriteSummarizesViolations)
     std::ostringstream clean_os;
     clean.write(clean_os);
     EXPECT_NE(clean_os.str().find("0 violations"), std::string::npos);
+}
+
+/**
+ * One seeded violation and the exact text it must produce. The
+ * strings and excesses were captured from the auditor that formatted
+ * every check eagerly; they pin the lazily formatted messages byte for
+ * byte, so a reworded message or a changed excess fails here.
+ */
+struct PinnedViolation
+{
+    const char *name;
+    std::function<void(obs::FlightRecorder &)> tamper;
+    size_t hour;
+    std::string format;
+    double excess;
+};
+
+std::vector<PinnedViolation>
+pinnedViolations()
+{
+    const ExplainResult &base = holisticExplain();
+    const double cap = base.capacity_cap_mw.value();
+    const double battery = base.battery_capacity_mwh.value();
+    return {
+        {"energy-balance",
+         [](obs::FlightRecorder &r) { r.grid_mw[10] += 5.0; }, 10,
+         "hour 10: [energy-balance] supplied 39.1178 MW != consumed "
+         "34.1178 MW",
+         4.9999989999999999},
+        {"soc-bounds low",
+         [](obs::FlightRecorder &r) { r.battery_energy_mwh[3] = -1.0; },
+         3, "hour 3: [soc-bounds] battery content -1 MWh below zero", 1.0},
+        {"soc-bounds high",
+         [battery](obs::FlightRecorder &r) {
+             r.battery_energy_mwh[4] = battery + 2.0;
+         },
+         4,
+         "hour 4: [soc-bounds] battery content 152 MWh exceeds capacity "
+         "150 MWh",
+         2.0},
+        // Grid draw covers the extra served power, so only the cap
+        // breaks, not the energy balance.
+        {"capacity-cap",
+         [cap](obs::FlightRecorder &r) {
+             const double extra = cap + 1.0 - r.served_mw[7];
+             r.served_mw[7] += extra;
+             r.grid_mw[7] += extra;
+         },
+         7,
+         "hour 7: [capacity-cap] served 20.6082 MW exceeds cap 19.6082 MW",
+         1.0},
+        {"curtailment",
+         [](obs::FlightRecorder &r) { r.curtailed_mw[12] += 3.0; }, 12,
+         "hour 12: [curtailment] curtailed 3 MW != renewable 29.0816 - "
+         "used 29.0816",
+         2.9999989999999999},
+        // The next hour's shift-in absorbs the backlog's recovery from
+        // -0.5, so only the negative backlog breaks.
+        {"backlog negative",
+         [](obs::FlightRecorder &r) {
+             r.backlog_mwh[20] = -0.5;
+             r.shifted_mwh[21] += 0.5;
+         },
+         20, "hour 20: [backlog-conservation] backlog -0.5 MWh negative",
+         0.5},
+        {"backlog grew",
+         [](obs::FlightRecorder &r) { r.backlog_mwh[20] += 100.0; }, 20,
+         "hour 20: [backlog-conservation] backlog grew 100 MWh but only 0 "
+         "MWh was shifted in",
+         100.0},
+        // Load is checked only for sign.
+        {"non-negative-flows",
+         [](obs::FlightRecorder &r) { r.load_mw[5] = -1.0; }, 5,
+         "hour 5: [non-negative-flows] a flow column is negative", 0.0},
+        // The extra backlog is shifted in, so only the year-end
+        // residual disagrees.
+        {"year-total backlog",
+         [](obs::FlightRecorder &r) {
+             r.backlog_mwh.back() += 1.0;
+             r.shifted_mwh.back() += 1.0;
+         },
+         SIZE_MAX,
+         "year-total: [backlog-conservation] recorded year-end backlog 1 "
+         "MWh != reported residual -5.06262e-14 MWh",
+         0.99999899999999997},
+        {"carbon-reconciliation",
+         [](obs::FlightRecorder &r) { r.carbon_kg[100] += 1.0; },
+         SIZE_MAX,
+         "year-total: [carbon-reconciliation] cumulative hourly carbon "
+         "1.61612e+06 kg != reported operational total 1.61612e+06 kg",
+         0.99999999900000003},
+    };
+}
+
+TEST(InvariantAuditor, EveryCheckFormatsItsPinnedMessage)
+{
+    const ExplainResult &base = holisticExplain();
+    for (const PinnedViolation &pin : pinnedViolations()) {
+        SCOPED_TRACE(pin.name);
+        obs::FlightRecorder rec = base.recording;
+        pin.tamper(rec);
+        const obs::AuditReport report =
+            obs::auditRecording(rec, base.auditContext());
+        ASSERT_EQ(report.violations.size(), 1u);
+        const obs::InvariantViolation &v = report.violations.front();
+        EXPECT_EQ(v.hour, pin.hour);
+        EXPECT_EQ(v.format(), pin.format);
+        EXPECT_EQ(v.excess, pin.excess);
+        std::ostringstream os;
+        report.write(os);
+        EXPECT_EQ(os.str(),
+                  pin.format +
+                      "\naudit: 1 violation across 70274 checks over "
+                      "8784 hours\n");
+    }
 }
 
 } // namespace

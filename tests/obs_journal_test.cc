@@ -8,136 +8,19 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
-#include <new>
 #include <string>
 #include <vector>
 
 #include "common/error.h"
 #include "common/fnv.h"
 #include "obs/journal.h"
+#include "support/counting_new.h"
 #include "support/temp_dir.h"
-
-// ---------------------------------------------------------------------------
-// Counting operator new/delete. Each test file is its own executable,
-// so the global replacement here is confined to this binary. The
-// replacements forward to malloc and only bump a counter while a
-// measurement window is open.
-// ---------------------------------------------------------------------------
-
-namespace
-{
-std::atomic<std::uint64_t> g_allocation_count{0};
-std::atomic<bool> g_count_allocations{false};
-
-void
-noteAllocation()
-{
-    if (g_count_allocations.load(std::memory_order_relaxed))
-        g_allocation_count.fetch_add(1, std::memory_order_relaxed);
-}
-
-void *
-countedAlloc(std::size_t size)
-{
-    noteAllocation();
-    void *p = std::malloc(size ? size : 1);
-    if (p == nullptr)
-        throw std::bad_alloc();
-    return p;
-}
-
-void *
-countedAlignedAlloc(std::size_t size, std::size_t align)
-{
-    noteAllocation();
-    if (align < sizeof(void *))
-        align = sizeof(void *);
-    void *p = nullptr;
-    if (posix_memalign(&p, align, size ? size : 1) != 0)
-        throw std::bad_alloc();
-    return p;
-}
-} // namespace
-
-void *
-operator new(std::size_t size)
-{
-    return countedAlloc(size);
-}
-void *
-operator new[](std::size_t size)
-{
-    return countedAlloc(size);
-}
-void *
-operator new(std::size_t size, const std::nothrow_t &) noexcept
-{
-    noteAllocation();
-    return std::malloc(size ? size : 1);
-}
-void *
-operator new[](std::size_t size, const std::nothrow_t &) noexcept
-{
-    noteAllocation();
-    return std::malloc(size ? size : 1);
-}
-void *
-operator new(std::size_t size, std::align_val_t align)
-{
-    return countedAlignedAlloc(size, static_cast<std::size_t>(align));
-}
-void *
-operator new[](std::size_t size, std::align_val_t align)
-{
-    return countedAlignedAlloc(size, static_cast<std::size_t>(align));
-}
-void
-operator delete(void *ptr) noexcept
-{
-    std::free(ptr);
-}
-void
-operator delete[](void *ptr) noexcept
-{
-    std::free(ptr);
-}
-void
-operator delete(void *ptr, std::size_t) noexcept
-{
-    std::free(ptr);
-}
-void
-operator delete[](void *ptr, std::size_t) noexcept
-{
-    std::free(ptr);
-}
-void
-operator delete(void *ptr, const std::nothrow_t &) noexcept
-{
-    std::free(ptr);
-}
-void
-operator delete[](void *ptr, const std::nothrow_t &) noexcept
-{
-    std::free(ptr);
-}
-void
-operator delete(void *ptr, std::align_val_t) noexcept
-{
-    std::free(ptr);
-}
-void
-operator delete[](void *ptr, std::align_val_t) noexcept
-{
-    std::free(ptr);
-}
 
 namespace carbonx
 {
@@ -377,14 +260,14 @@ TEST(JournalHotPath, WarmSinkRecordIsAllocationFree)
     journal.flush();
     ASSERT_GE(journal.sink(0).capacity(), kRows / 2);
 
-    g_allocation_count.store(0);
-    g_count_allocations.store(true);
-    for (size_t i = 0; i < kRows; ++i)
-        journal.sink(i % 2).record(
-            rowOf(i, obs::DecisionVerdict::Evaluated));
-    const uint64_t nowus = journal.nowUs();
-    g_count_allocations.store(false);
-    EXPECT_EQ(g_allocation_count.load(), 0u)
+    uint64_t nowus = 0;
+    EXPECT_EQ(testsupport::allocationsDuring([&] {
+                  for (size_t i = 0; i < kRows; ++i)
+                      journal.sink(i % 2).record(
+                          rowOf(i, obs::DecisionVerdict::Evaluated));
+                  nowus = journal.nowUs();
+              }),
+              0u)
         << "warm record()/nowUs() path must not allocate";
     EXPECT_GE(nowus, 0u);
     journal.flush();

@@ -13,10 +13,7 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <deque>
-#include <new>
 #include <optional>
 #include <vector>
 
@@ -30,133 +27,9 @@
 #include "obs/profiler.h"
 #include "scheduler/batched_engine.h"
 #include "scheduler/simulation_batch.h"
+#include "support/counting_new.h"
 #include "support/differential.h"
 #include "support/simulation_engine.h"
-
-// ---------------------------------------------------------------------------
-// Allocation counting. One test executable per source file (see
-// tests/CMakeLists.txt), so replacing the global allocation functions
-// here is confined to this binary. The replacements forward to malloc
-// and only bump a counter while a measurement window is open.
-// ---------------------------------------------------------------------------
-
-namespace
-{
-std::atomic<std::uint64_t> g_allocation_count{0};
-std::atomic<bool> g_count_allocations{false};
-
-void
-noteAllocation()
-{
-    if (g_count_allocations.load(std::memory_order_relaxed))
-        g_allocation_count.fetch_add(1, std::memory_order_relaxed);
-}
-
-void *
-countedAlloc(std::size_t size)
-{
-    noteAllocation();
-    void *p = std::malloc(size ? size : 1);
-    if (p == nullptr)
-        throw std::bad_alloc();
-    return p;
-}
-
-void *
-countedAlignedAlloc(std::size_t size, std::size_t align)
-{
-    noteAllocation();
-    if (align < sizeof(void *))
-        align = sizeof(void *);
-    void *p = nullptr;
-    if (posix_memalign(&p, align, size ? size : 1) != 0)
-        throw std::bad_alloc();
-    return p;
-}
-} // namespace
-
-void *
-operator new(std::size_t size)
-{
-    return countedAlloc(size);
-}
-void *
-operator new[](std::size_t size)
-{
-    return countedAlloc(size);
-}
-void *
-operator new(std::size_t size, const std::nothrow_t &) noexcept
-{
-    noteAllocation();
-    return std::malloc(size ? size : 1);
-}
-void *
-operator new[](std::size_t size, const std::nothrow_t &) noexcept
-{
-    noteAllocation();
-    return std::malloc(size ? size : 1);
-}
-void *
-operator new(std::size_t size, std::align_val_t align)
-{
-    return countedAlignedAlloc(size, static_cast<std::size_t>(align));
-}
-void *
-operator new[](std::size_t size, std::align_val_t align)
-{
-    return countedAlignedAlloc(size, static_cast<std::size_t>(align));
-}
-void
-operator delete(void *ptr) noexcept
-{
-    std::free(ptr);
-}
-void
-operator delete[](void *ptr) noexcept
-{
-    std::free(ptr);
-}
-void
-operator delete(void *ptr, std::size_t) noexcept
-{
-    std::free(ptr);
-}
-void
-operator delete[](void *ptr, std::size_t) noexcept
-{
-    std::free(ptr);
-}
-void
-operator delete(void *ptr, const std::nothrow_t &) noexcept
-{
-    std::free(ptr);
-}
-void
-operator delete[](void *ptr, const std::nothrow_t &) noexcept
-{
-    std::free(ptr);
-}
-void
-operator delete(void *ptr, std::align_val_t) noexcept
-{
-    std::free(ptr);
-}
-void
-operator delete[](void *ptr, std::align_val_t) noexcept
-{
-    std::free(ptr);
-}
-void
-operator delete(void *ptr, std::size_t, std::align_val_t) noexcept
-{
-    std::free(ptr);
-}
-void
-operator delete[](void *ptr, std::size_t, std::align_val_t) noexcept
-{
-    std::free(ptr);
-}
 
 namespace carbonx
 {
@@ -648,12 +521,11 @@ TEST(BatchedEngine, NoAllocationsAfterWarmup)
         engine.run(batch);
     }
 
-    g_allocation_count.store(0);
-    g_count_allocations.store(true);
-    fill();
-    engine.run(batch);
-    g_count_allocations.store(false);
-    EXPECT_EQ(g_allocation_count.load(), 0u)
+    EXPECT_EQ(testsupport::allocationsDuring([&] {
+                  fill();
+                  engine.run(batch);
+              }),
+              0u)
         << "warm fill+run of the batched kernel must not allocate";
 }
 

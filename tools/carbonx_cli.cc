@@ -681,7 +681,8 @@ usage()
         "file and exit\n"
         "           (optimize --scenario ID runs the same path; "
         "unknown ids exit 5 with a near-miss list)\n\n"
-        "common flags: --seed N --year Y\n"
+        "common flags: --help               print this usage and exit\n"
+        "              --seed N --year Y\n"
         "              --threads N          sweep worker threads "
         "(0 = auto; CARBONX_THREADS env also honored)\n"
         "              --log-level silent|warn|info|debug\n"
@@ -698,6 +699,12 @@ main(int argc, char **argv)
 {
     using carbonx::tools::ArgParser;
     const ArgParser args(argc, argv);
+    // --help never runs a subcommand: `carbonx bench --help` would
+    // otherwise run the whole bench suite.
+    if (args.has("help")) {
+        usage();
+        return 0;
+    }
     if (args.positionals().empty()) {
         usage();
         return 2;
